@@ -11,13 +11,18 @@ projected-gradient phase update:
 - Phase subproblem: projected gradient ascent on the weighted effective-gain
   surrogate f(Phi) = sum_u w_u |h_d,u + g_u^H Phi h|^2, with weights equal to
   the rate sensitivities dR_u/d|h_eff,u|^2 at the current operating point.
-  The gradient is the rank-one matrix q h^H (single satellite feed), so the
-  unitary projection of a step is computed exactly in O(K^2) through a
-  two-dimensional polar update instead of a full SVD. Each step is followed
-  by an exact line search over the global phase (all feasible sets are
-  closed under scalar phase rotation). The step ladder tries one huge step
-  first - for a convex surrogate the limiting projected point maximizes the
-  linear minorant, so it can only improve f - then backtracks by halving.
+  With a single satellite feed Phi enters the objective only through its
+  image v = Phi h, and the gradient is the rank-one matrix q h^H. For
+  unitary blocks the ascent therefore runs on v itself (one vector of norm
+  |h_b| per block): the image of the projected step polar(Phi_b + tau q_b
+  h_b^H) h_b depends only on v_b and q_b and is taken in closed form on
+  span{q_b, v_b}, O(K) per step for all blocks at once. Phi is built once
+  per phase solve, by a block unitary that maps the warm-start image to the
+  final one. Each step is followed by an exact line search over the global
+  phase (all feasible sets are closed under scalar phase rotation). The
+  step ladder tries one huge step first - for a convex surrogate the
+  limiting projected point maximizes the linear minorant, so it can only
+  improve f - then backtracks by halving.
 
 The conventional-surface baseline (CD_RIS) is the same solver restricted to
 the single-connected diagonal set. Warm-starting the beyond-diagonal run
@@ -129,51 +134,57 @@ class Solution:
 # ---------------------------------------------------------------------------
 
 
-def _polar_rank1_update(phi: np.ndarray, q: np.ndarray, h: np.ndarray, tau: float) -> np.ndarray:
-    """Exact polar factor (nearest unitary) of phi + tau * q h^H.
+def _plane(x: np.ndarray, v: np.ndarray):
+    """Per row: e1 = x/|x|, e2 = the unit part of v orthogonal to e1, and the
+    coordinates (beta, n) of v in {e1, e2}, n real. Zero vectors give zero
+    basis vectors."""
+    xn = np.linalg.norm(x, axis=1)
+    e1 = np.divide(x, xn[:, None], out=np.zeros_like(x), where=xn[:, None] > 0.0)
+    beta = np.sum(e1.conj() * v, axis=1)
+    perp = v - beta[:, None] * e1
+    n = np.linalg.norm(perp, axis=1)
+    e2 = np.divide(perp, n[:, None], out=np.zeros_like(perp), where=n[:, None] > 0.0)
+    return e1, e2, beta, n
 
-    With phi unitary the perturbed matrix differs from phi by a rank-one
-    term, so its polar factor equals phi times the polar factor of
-    I + a b^H with a = tau phi^H q, b = h, which lives in the <=2-dim
-    subspace span{a, b}. Cost O(K^2).
+
+def _polar_image_step(v: np.ndarray, q: np.ndarray, tau: float, bs: int) -> np.ndarray:
+    """Image polar(Phi_b + tau q_b h_b^H) h_b of every block, from v_b = Phi_b h_b.
+
+    With Phi_b unitary, Phi_b + tau q_b h_b^H = (I + tau q_b v_b^H) Phi_b, so
+    the stepped image is polar(I + tau q_b v_b^H) v_b. That factor moves only
+    span{q_b, v_b}: in the basis {e1, e2} of _plane(q_b, v_b), where v_b has
+    coordinates (beta, n), it is the 2x2 polar factor of
+    t = [[1 + s conj(beta), s n], [0, 1]], s = tau |q_b|, taken in closed
+    form as (t + (det t/|det t|) adj(t)^H) / sqrt(|t|_F^2 + 2 |det t|).
+    Applied to (beta, n) it gives the coordinates c1, c2 below. Cost O(K)
+    over all blocks; blocks with a zero gradient keep their image.
     """
-    a = tau * (phi.conj().T @ q)
-    b = h
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return phi
-    u1 = a / na
-    b_par = u1.conj() @ b
-    b_perp = b - b_par * u1
-    nbp = np.linalg.norm(b_perp)
-    if nbp > 1e-14 * nb:
-        basis = np.stack([u1, b_perp / nbp], axis=1)
-        a_c = np.array([na, 0.0])
-        b_c = np.array([b_par, nbp])
-    else:
-        basis = u1[:, None]
-        a_c = np.array([na])
-        b_c = np.array([b_par])
-    r = len(a_c)
-    t = np.eye(r, dtype=complex) + np.outer(a_c, b_c.conj())
-    ut, _, vht = np.linalg.svd(t)
-    p = ut @ vht
-    w = phi @ basis
-    return phi + w @ ((p - np.eye(r)) @ basis.conj().T)
+    vb = v.reshape(-1, bs)
+    qb = q.reshape(-1, bs)
+    e1, e2, beta, n = _plane(qb, vb)
+    s = tau * np.linalg.norm(qb, axis=1)
+    det = 1.0 + s * np.conj(beta)
+    mag = np.abs(det)
+    phase = np.divide(det, mag, out=np.ones_like(det), where=mag > 0.0)
+    den = np.sqrt((1.0 + mag) ** 2 + (s * n) ** 2)
+    c1 = (beta * (1.0 + phase) + s * (np.abs(beta) ** 2 + n ** 2)) / den
+    c2 = n * (1.0 + phase) / den
+    new = c1[:, None] * e1 + c2[:, None] * e2
+    return np.where(s[:, None] > 0.0, new, vb).ravel()
 
 
 class _PhaseState:
-    """Feasible iterate: a unit-modulus vector for diagonal sets, otherwise a
-    dense block-unitary matrix stepped block-by-block."""
+    """Feasible iterate: a unit-modulus vector for diagonal sets, otherwise
+    the image v = Phi h of the block-unitary surface (|v_b| = |h_b| per
+    block), which is all the objective sees of Phi."""
 
     def __init__(self, value: np.ndarray, diag: bool, block_size: int):
         self.value = value
         self.diag = diag
         self.block_size = block_size
 
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        return self.value * h if self.diag else self.value @ h
+    def image(self, h: np.ndarray) -> np.ndarray:
+        return self.value * h if self.diag else self.value
 
     def stepped(self, q: np.ndarray, h: np.ndarray, tau: float) -> "_PhaseState":
         if self.diag:
@@ -182,33 +193,46 @@ class _PhaseState:
             d = np.where(mags > 0.0, d, 1.0)
             return _PhaseState(d / np.abs(d), True, 1)
         bs = self.block_size
-        if bs == self.value.shape[0]:
-            new = _polar_rank1_update(self.value, q, h, tau)
-        else:
-            new = self.value.copy()
-            for b in range(self.value.shape[0] // bs):
-                sl = slice(b * bs, (b + 1) * bs)
-                new[sl, sl] = _polar_rank1_update(self.value[sl, sl], q[sl], h[sl], tau)
-        return _PhaseState(new, False, bs)
+        return _PhaseState(_polar_image_step(self.value, q, tau, bs), False, bs)
 
     def rotated(self, phase: complex) -> "_PhaseState":
         return _PhaseState(self.value * phase, self.diag, self.block_size)
 
-    def to_matrix(self) -> np.ndarray:
-        return np.diag(self.value) if self.diag else self.value
 
-
-def _identity_state(spec: RisSpec) -> _PhaseState:
-    k = spec.num_elements
-    if spec.block_size == 1:
-        return _PhaseState(np.ones(k, dtype=complex), True, 1)
-    return _PhaseState(np.eye(k, dtype=complex), False, spec.block_size)
-
-
-def _state_from_matrix(mat: np.ndarray, spec: RisSpec) -> _PhaseState:
+def _state_from_matrix(mat: np.ndarray, h: np.ndarray, spec: RisSpec) -> _PhaseState:
     if spec.block_size == 1:
         return _PhaseState(np.diagonal(mat).copy(), True, 1)
-    return _PhaseState(np.array(mat, dtype=complex), False, spec.block_size)
+    return _PhaseState(mat @ h, False, spec.block_size)
+
+
+def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
+                        bs: int) -> np.ndarray:
+    """U base for a block unitary U with U w = v, where w = base h.
+
+    Per block, U is the global phase z = w_b^H v_b/|w_b^H v_b| followed by the
+    rotation R that takes z w_b to v_b inside span{w_b, v_b}. Taking the
+    phase out first keeps R - I as small as the change of direction, so U
+    stays unitary to rounding even when v_b is nearly parallel to w_b.
+    Blocks whose image did not move keep their rows of base exactly.
+    """
+    k = base.shape[0]
+    wb = w.reshape(-1, bs)
+    vb = v.reshape(-1, bs)
+    rows = base.reshape(-1, bs, k)
+    c = np.sum(wb.conj() * vb, axis=1)
+    cmag = np.abs(c)
+    z = np.divide(c, cmag, out=np.ones_like(c), where=cmag > 0.0)
+    e1, e2, a, n = _plane(z[:, None] * wb, vb)
+    r = np.hypot(np.abs(a), n)
+    cos = np.divide(a, r, out=np.ones_like(a), where=r > 0.0)
+    sin = np.divide(n, r, out=np.zeros_like(n), where=r > 0.0)
+    basis = np.stack([e1, e2], axis=2)                          # (blocks, bs, 2)
+    rot = np.stack([np.stack([cos - 1.0, -sin], axis=1),        # R - I
+                    np.stack([sin, np.conj(cos) - 1.0], axis=1)], axis=1)
+    coords = basis.conj().transpose(0, 2, 1) @ rows             # (blocks, 2, k)
+    turned = z[:, None, None] * (rows + basis @ (rot @ coords))
+    moved = np.any(vb != wb, axis=1)
+    return np.where(moved[:, None, None], turned, rows).reshape(k, k)
 
 
 class _Objective:
@@ -225,7 +249,7 @@ class _Objective:
         self.af = alloc.alpha_far
 
     def eff(self, state: _PhaseState) -> np.ndarray:
-        return self.hd + self.gc @ state.apply(self.h)
+        return self.hd + self.gc @ state.image(self.h)
 
     def sum_rate_of_gains(self, gains: np.ndarray):
         if gains.shape[-1] == 1:
@@ -303,9 +327,22 @@ def _ascend(state: _PhaseState, obj: _Objective, weights: np.ndarray,
 
 def _aligned_start(g_u: np.ndarray, h: np.ndarray, spec: RisSpec) -> _PhaseState:
     """Projection of g_u h^H onto the feasible set: steers the surface to one
-    user alone (up to the global phase fixed later by the line search)."""
-    pr = project_feasible(np.outer(g_u, np.conj(h)), spec)
-    return _state_from_matrix(pr.phi, spec)
+    user alone (up to the global phase fixed later by the line search).
+
+    For unitary blocks the projection's image is known in closed form,
+    v_b = |h_b| g_b/|g_b|, and a block with g_b = 0 projects to the identity,
+    keeping v_b = h_b.
+    """
+    if spec.block_size == 1:
+        pr = project_feasible(np.outer(g_u, np.conj(h)), spec)
+        return _state_from_matrix(pr.phi, h, spec)
+    bs = spec.block_size
+    gb = g_u.reshape(-1, bs)
+    hb = h.reshape(-1, bs)
+    gn = np.linalg.norm(gb, axis=1)
+    scale = np.divide(np.linalg.norm(hb, axis=1), gn, out=np.zeros_like(gn), where=gn > 0.0)
+    v = np.where(gn[:, None] > 0.0, gb * scale[:, None], hb)
+    return _PhaseState(v.ravel(), False, bs)
 
 
 def _coarse_grid_start(obj: _Objective, k: int, points: int = 8) -> _PhaseState:
@@ -335,9 +372,10 @@ def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
     if warm_start_pr is not None:
         if warm_start_pr.mode != "reflective":
             raise ValueError("warm start must be a reflective phase response")
-        warm = _state_from_matrix(warm_start_pr.phi, spec)
+        base = warm_start_pr.phi
     else:
-        warm = _identity_state(spec)
+        base = np.eye(spec.num_elements, dtype=complex)
+    warm = _state_from_matrix(base, obj.h, spec)
 
     e_warm = obj.eff(warm)
     weights = _rate_weights(np.abs(e_warm) ** 2, alloc, obj.noise)
@@ -357,7 +395,10 @@ def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
         state, rate = _ascend(cand, obj, weights, settings)
         if rate > best_rate:
             best_state, best_rate = state, rate
-    return PhaseResponse.reflective(best_state.to_matrix())
+    if best_state.diag:
+        return PhaseResponse.reflective(np.diag(best_state.value))
+    return PhaseResponse.reflective(
+        _surface_with_image(base, warm.value, best_state.value, spec.block_size))
 
 
 def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,

@@ -3,6 +3,7 @@ oracle on instances small enough to enumerate."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdris.channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                            draw_realization, effective_channel)
@@ -10,8 +11,9 @@ from bdris.noma import NomaAllocation, achievable_rates, order_users
 from bdris.optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
                              Solution, bcd_solve, brute_force_oracle,
                              solve_phase_subproblem, solve_power_subproblem,
-                             _polar_rank1_update)
-from bdris.surfaces import PhaseResponse, RisSpec, random_feasible, validate
+                             _aligned_start, _polar_image_step, _surface_with_image)
+from bdris.surfaces import (PhaseResponse, RisSpec, project_feasible, random_feasible,
+                            validate)
 
 
 def unit_channel(k, users=2, direct_scale=0.0, seed=0, noise=1.0):
@@ -122,47 +124,115 @@ class TestPowerSubproblem:
         assert alloc_rate >= best - 1e-9
 
 
-class TestPolarRankOneUpdate:
+def block_specs():
+    """Full and group-connected unitary surfaces the image step runs on."""
+    specs = [RisSpec(k, "full") for k in (2, 3, 8, 12)]
+    specs += [RisSpec(k, "group", group_count=3) for k in (3, 12)]
+    return specs
+
+
+def svd_polar_image(phi, q, h, tau, bs):
+    """Reference: full-SVD polar factor of Phi_b + tau q_b h_b^H applied to h_b."""
+    out = np.empty_like(h)
+    for b in range(len(h) // bs):
+        sl = slice(b * bs, (b + 1) * bs)
+        u, _, vh = np.linalg.svd(phi[sl, sl] + tau * np.outer(q[sl], np.conj(h[sl])))
+        out[sl] = u @ vh @ h[sl]
+    return out
+
+
+def cn(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+class TestPolarImageStep:
     def test_matches_full_svd_polar(self):
         rng = np.random.default_rng(5)
-        for k in (2, 3, 8):
-            phi = random_feasible(RisSpec(k, "full", "reflective"), rng).phi
-            q = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            h = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            for tau in (1e-3, 1.0):
-                updated = _polar_rank1_update(phi, q, h, tau)
-                u, _, vh = np.linalg.svd(phi + tau * np.outer(q, np.conj(h)))
-                assert np.max(np.abs(updated - u @ vh)) < 1e-12
+        for spec in block_specs():
+            k, bs = spec.num_elements, spec.block_size
+            for tau in (1e-3, 1.0, 1e6):
+                for _ in range(5):
+                    phi = random_feasible(spec, rng).phi
+                    q, h = cn(rng, k), cn(rng, k)
+                    stepped = _polar_image_step(phi @ h, q, tau, bs)
+                    reference = svd_polar_image(phi, q, h, tau, bs)
+                    assert np.linalg.norm(stepped - reference) < 1e-12 * np.linalg.norm(h)
 
-    def test_huge_step_satisfies_polar_property(self):
-        # at step sizes where full-SVD polar factors lose digits, check the
-        # defining property instead: P unitary and P^H A Hermitian PSD
-        rng = np.random.default_rng(15)
-        k = 6
-        phi = random_feasible(RisSpec(k, "full", "reflective"), rng).phi
-        q = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        h = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        a = phi + 1e6 * np.outer(q, np.conj(h))
-        p = _polar_rank1_update(phi, q, h, 1e6)
-        assert np.max(np.abs(p.conj().T @ p - np.eye(k))) < 1e-12
-        hermitian_part = p.conj().T @ a
-        asym = np.max(np.abs(hermitian_part - hermitian_part.conj().T))
-        assert asym < 1e-10 * np.linalg.norm(a)
-        assert np.min(np.linalg.eigvalsh((hermitian_part + hermitian_part.conj().T) / 2)) > -1e-8
-
-    def test_zero_gradient_returns_input(self):
-        phi = np.eye(3, dtype=complex)
-        out = _polar_rank1_update(phi, np.zeros(3), np.ones(3), 1.0)
-        assert np.array_equal(out, phi)
-
-    def test_result_stays_unitary(self):
+    def test_zero_gradient_block_keeps_its_image(self):
         rng = np.random.default_rng(6)
-        phi = np.eye(4, dtype=complex)
-        for _ in range(50):
-            q = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            phi = _polar_rank1_update(phi, q, h, 0.7)
-        assert np.max(np.abs(phi.conj().T @ phi - np.eye(4))) < 1e-12
+        spec = RisSpec(12, "group", group_count=3)
+        phi = random_feasible(spec, rng).phi
+        q, h = cn(rng, 12), cn(rng, 12)
+        q[4:8] = 0.0
+        v = phi @ h
+        stepped = _polar_image_step(v, q, 1.0, 4)
+        assert np.array_equal(stepped[4:8], v[4:8])
+        reference = svd_polar_image(phi, q, h, 1.0, 4)
+        assert np.linalg.norm(stepped - reference) < 1e-12 * np.linalg.norm(h)
+        assert np.array_equal(_polar_image_step(v, np.zeros(12), 1.0, 4), v)
+
+    def test_gradient_parallel_to_image(self):
+        rng = np.random.default_rng(7)
+        for spec in block_specs():
+            k, bs = spec.num_elements, spec.block_size
+            phi = random_feasible(spec, rng).phi
+            h = cn(rng, k)
+            v = phi @ h
+            for scale in (0.3, -0.3j, -2.0):      # includes q_b against v_b
+                q = scale * v
+                for tau in (1e-3, 1.0, 1e6):
+                    stepped = _polar_image_step(v, q, tau, bs)
+                    reference = svd_polar_image(phi, q, h, tau, bs)
+                    assert np.linalg.norm(stepped - reference) < 1e-12 * np.linalg.norm(h)
+
+    def test_built_surface_after_many_steps(self):
+        rng = np.random.default_rng(8)
+        for spec in block_specs():
+            k, bs = spec.num_elements, spec.block_size
+            h = cn(rng, k)
+            base = random_feasible(spec, rng).phi
+            w = base @ h
+            v = w
+            for _ in range(50):
+                v = _polar_image_step(v, cn(rng, k), 0.7, bs)
+            norms = np.linalg.norm(v.reshape(-1, bs), axis=1)
+            assert np.allclose(norms, np.linalg.norm(h.reshape(-1, bs), axis=1),
+                               rtol=1e-12, atol=0.0)
+            phi = _surface_with_image(base, w, v, bs)
+            assert validate(PhaseResponse.reflective(phi), spec).is_feasible
+            assert np.linalg.norm(phi @ h - v) < 1e-12 * np.linalg.norm(v)
+
+    def test_surface_for_barely_moved_images(self):
+        # block 0 turns by a global phase only, block 1 by a 1e-9 change of
+        # direction, block 2 not at all
+        rng = np.random.default_rng(9)
+        spec = RisSpec(12, "group", group_count=3)
+        base = random_feasible(spec, rng).phi
+        h = cn(rng, 12)
+        w = base @ h
+        v = w.copy()
+        v[:4] *= 1j
+        nudge = v[4:8] + 1e-9 * np.linalg.norm(v[4:8]) * cn(rng, 4)
+        v[4:8] = nudge * np.linalg.norm(v[4:8]) / np.linalg.norm(nudge)
+        phi = _surface_with_image(base, w, v, 4)
+        assert validate(PhaseResponse.reflective(phi), spec, eps_feas=1e-13).is_feasible
+        assert np.linalg.norm(phi @ h - v) < 1e-14 * np.linalg.norm(v)
+        assert np.array_equal(phi[8:], base[8:])
+
+
+class TestAlignedStart:
+    def test_image_of_the_projected_rank_one_matrix(self):
+        rng = np.random.default_rng(10)
+        for spec in block_specs() + [RisSpec(12, "group", group_count=2)]:
+            k, bs = spec.num_elements, spec.block_size
+            if bs == 1:
+                continue
+            g, h = cn(rng, k), cn(rng, k)
+            if spec.num_blocks > 1:
+                g[bs:2 * bs] = 0.0                # one block with g_b = 0
+            start = _aligned_start(g, h, spec).image(h)
+            reference = project_feasible(np.outer(g, np.conj(h)), spec).phi @ h
+            assert np.linalg.norm(start - reference) < 1e-12 * np.linalg.norm(h)
 
 
 class TestPhaseSubproblem:
@@ -211,6 +281,30 @@ class TestPhaseSubproblem:
             for settings in (settings_on, settings_off):
                 pr = solve_phase_subproblem(ch, alloc, problem, settings, warm_start_pr=warm)
                 assert sum_rate(pr) >= sum_rate(warm) - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(k, 1) for k in range(2, 13)]
+                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
+                              if k % g == 0]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
+           st.floats(0.5, 1.0), st.booleans())
+    def test_property_feasible_and_never_below_warm_start(self, shape, seed, direct,
+                                                          alpha_far, restarts):
+        k, g = shape
+        spec = RisSpec(k, "full") if g == 1 else RisSpec(k, "group", group_count=g)
+        ch = unit_channel(k, seed=seed, direct_scale=direct)
+        alloc = NomaAllocation(10.0, 1.0 - alpha_far, alpha_far)
+        warm = random_feasible(spec, seed)
+
+        def sum_rate(pr):
+            h_effs = [effective_channel(ch, pr, u) for u in range(2)]
+            s, w = order_users(h_effs)
+            return achievable_rates(alloc, h_effs[s], h_effs[w], ch.noise_mw).sum_rate
+
+        pr = solve_phase_subproblem(ch, alloc, ProblemSpec(spec, 10.0),
+                                    BcdSettings(restarts=restarts), warm_start_pr=warm)
+        assert validate(pr, spec).is_feasible
+        assert sum_rate(pr) >= sum_rate(warm) * (1.0 - 1e-12)
 
     def test_rejects_non_reflective_warm_start(self):
         ch = unit_channel(4)
