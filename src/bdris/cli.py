@@ -23,16 +23,12 @@ from .config import (ConfigError, SimConfig, apply_overrides, bcd_settings_from,
                      echo_config, geometry_from, link_budget_from, load_config,
                      ris_spec_from)
 from .experiments import (SweepSpec, emit_csv, emit_plot_script,
-                          run_element_sweep, run_power_sweep)
+                          run_element_sweep, run_power_sweep, solve_pair)
 from .noma import NomaAllocation
 from .optimizer import (InfeasibleAllocationError, ProblemSpec, bcd_solve,
                         brute_force_oracle, solve_phase_subproblem)
 from .surfaces import (DimensionError, PhaseResponse, RisSpec,
                        hardware_complexity, validate)
-
-# sweep grids mirroring the reported curves
-POWER_SWEEP_DBM = (0.0, 5.0, 10.0, 15.0, 20.0)
-ELEMENT_SWEEP_COUNTS = (10, 20, 40, 80)
 
 ORACLE_TWO_USER_INSTANCES = 50
 ORACLE_SINGLE_USER_INSTANCES = 50
@@ -129,20 +125,13 @@ def _cmd_solve_one(cfg: SimConfig) -> int:
     rng = np.random.default_rng([cfg.base_seed, 0, 0])
     ch = draw_realization(geometry_from(cfg), link_budget_from(cfg), cfg.num_elements,
                           num_users=2, include_direct=cfg.include_direct, rng=rng)
-    cd_solution = None
+    problem = ProblemSpec(spec, cfg.power_dbm, cfg.min_rate_near, cfg.min_rate_far)
     code = 0
-    for scheme in ("CD_RIS", "BD_RIS"):
-        problem = ProblemSpec(spec, cfg.power_dbm, cfg.min_rate_near,
-                              cfg.min_rate_far, scheme)
-        try:
-            warm = cd_solution.phase if (scheme == "BD_RIS" and cd_solution) else None
-            solution = bcd_solve(ch, problem, settings, warm_start_pr=warm)
-        except InfeasibleAllocationError as exc:
-            print(f"scheme={scheme} infeasible: {exc}", file=sys.stderr)
+    for scheme, solution in solve_pair(ch, problem, settings).items():
+        if isinstance(solution, InfeasibleAllocationError):
+            print(f"scheme={scheme} infeasible: {solution}", file=sys.stderr)
             code = 1
             continue
-        if scheme == "CD_RIS":
-            cd_solution = solution
         r, a = solution.rates, solution.allocation
         print(f"scheme={scheme} rate_near={r.rate_near:.6e} rate_far={r.rate_far:.6e} "
               f"sum_rate={r.sum_rate:.6e} alpha_near={a.alpha_near:.6f} "
@@ -156,8 +145,6 @@ def _sweep_spec_from(cfg: SimConfig) -> SweepSpec:
         geometry=geometry_from(cfg),
         link_budget=link_budget_from(cfg),
         ris_spec=ris_spec_from(cfg),
-        power_points_dbm=POWER_SWEEP_DBM,
-        element_counts=ELEMENT_SWEEP_COUNTS,
         power_dbm=cfg.power_dbm,
         trials=cfg.trials,
         base_seed=cfg.base_seed,
@@ -169,6 +156,8 @@ def _sweep_spec_from(cfg: SimConfig) -> SweepSpec:
 
 
 def _cmd_sweep(cfg: SimConfig, kind: str, workers: int) -> int:
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     _require_reflective(cfg)
     sweep = _sweep_spec_from(cfg)
     if kind == "power":
@@ -221,7 +210,7 @@ def _cmd_oracle_check(cfg: SimConfig) -> int:
         rng = np.random.default_rng([cfg.base_seed, 202, i])
         ch = draw_realization(geometry, link_budget, k, num_users=1,
                               include_direct=(i % 2 == 1), rng=rng)
-        pr = solve_phase_subproblem(ch, alloc, problem_full, settings)
+        pr = solve_phase_subproblem(ch, alloc, problem_full)
         gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (pr.phi @ ch.h_sat_ris))
         bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
                                        * np.linalg.norm(ch.h_sat_ris))

@@ -12,6 +12,7 @@ echo_config emits a file that loads back to an identical configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .channel import GeometryParams, LinkBudgetParams
@@ -82,9 +83,12 @@ def _coerce(key: str, raw: str):
     if key in _STR_KEYS:
         return raw
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite number, got {raw!r}")
+    return value
 
 
 def _require(condition: bool, key: str, message: str):

@@ -5,7 +5,7 @@ Each sweep point solves `trials` independent channel realizations for every
 requested scheme. Realizations are paired: both schemes see the same draw,
 produced from the dedicated stream default_rng([base_seed, point_index,
 trial]), so results are reproducible run-to-run and independent of how the
-points are distributed over workers. When both schemes run, the
+points are distributed over workers. Every trial is one solve_pair: the
 beyond-diagonal solve is warm-started from the converged conventional
 phases, which makes its sum rate dominate the baseline trial by trial.
 """
@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import GeometryParams, LinkBudgetParams, draw_realization
+from .channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
+                      draw_realization)
 from .optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
                         SCHEMES, bcd_solve)
 from .surfaces import RisSpec
@@ -67,34 +68,34 @@ class SweepResult:
     aggregate_rows: tuple  # (power_dbm, num_elements, scheme, mean, std, n_ok, n_outage)
 
 
+def solve_pair(ch: ChannelRealization, problem: ProblemSpec,
+               settings: BcdSettings = BcdSettings()) -> dict:
+    """Solve one realization with both schemes: CD_RIS from the identity,
+    then BD_RIS from the CD phases (from the identity when CD is
+    infeasible), so BD never falls below CD. problem.scheme is not read.
+    Returns {scheme: Solution or the InfeasibleAllocationError it raised}."""
+    def attempt(scheme, warm):
+        try:
+            return bcd_solve(ch, replace(problem, scheme=scheme), settings, warm_start_pr=warm)
+        except InfeasibleAllocationError as exc:
+            return exc
+
+    cd = attempt("CD_RIS", None)
+    bd = attempt("BD_RIS", None if isinstance(cd, InfeasibleAllocationError) else cd.phase)
+    return {"CD_RIS": cd, "BD_RIS": bd}
+
+
 def _solve_trial(spec: SweepSpec, ris: RisSpec, power_dbm: float,
                  stream_key: int, trial: int) -> list:
     rng = np.random.default_rng([spec.base_seed, stream_key, trial])
     ch = draw_realization(spec.geometry, spec.link_budget, ris.num_elements,
                           num_users=2, include_direct=spec.include_direct, rng=rng)
-    need_cd = "CD_RIS" in spec.schemes or spec.settings.warm_start == "cd"
-    cd_solution = None
-    if need_cd:
-        try:
-            cd_solution = bcd_solve(
-                ch, ProblemSpec(ris, power_dbm, spec.min_rate_near,
-                                spec.min_rate_far, "CD_RIS"), spec.settings)
-        except InfeasibleAllocationError:
-            cd_solution = None
-
+    pair = solve_pair(ch, ProblemSpec(ris, power_dbm, spec.min_rate_near, spec.min_rate_far),
+                      spec.settings)
     rows = []
     for scheme in spec.schemes:
-        if scheme == "CD_RIS":
-            solution = cd_solution
-        else:
-            try:
-                solution = bcd_solve(
-                    ch, ProblemSpec(ris, power_dbm, spec.min_rate_near,
-                                    spec.min_rate_far, scheme), spec.settings,
-                    warm_start_pr=cd_solution.phase if cd_solution is not None else None)
-            except InfeasibleAllocationError:
-                solution = None
-        if solution is None:
+        solution = pair[scheme]
+        if isinstance(solution, InfeasibleAllocationError):
             rows.append((power_dbm, ris.num_elements, scheme, trial, 0.0, 0.0, 0.0, 1))
         else:
             r = solution.rates
@@ -142,12 +143,13 @@ def _aggregate_point(point_rows) -> list:
 def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
     n_points = len(spec.power_points_dbm if kind == "power" else spec.element_counts)
     jobs = [(spec, kind, i) for i in range(n_points)]
-    if workers > 1:
+    processes = min(workers, n_points)    # a process beyond one per point has no job
+    if processes > 1:
         # map preserves job order, so the row set is identical for any
         # worker count; the final sort fixes the layout either way
         import multiprocessing
 
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=processes) as pool:
             per_point = pool.map(_run_point, jobs)
     else:
         per_point = [_run_point(job) for job in jobs]

@@ -58,24 +58,40 @@ def order_users(h_effs) -> tuple:
     return strong, 1 - strong
 
 
-def achievable_rates(alloc: NomaAllocation, h_strong: complex, h_weak: complex,
-                     noise_mw: float, sic_order: tuple = (0, 1)) -> RateResult:
-    """Rates of the SIC decoding order strong-cancels-weak.
+def sic_rates(p, a_n, a_f, g_s, g_w, noise):
+    """(rate_near, rate_far) in bps/Hz of the decoding order strong-cancels-weak.
 
+    rate_near = log2(1 + p a_n g_s / noise)                 (after SIC)
     rate_far  = log2(1 + p a_f g_w / (p a_n g_w + noise))   (weak user,
                 decoding its own signal under the near user's interference)
-    rate_near = log2(1 + p a_n g_s / noise)                 (after SIC)
 
-    SIC decodability at the strong user is implied by g_s >= g_w together
-    with a_f >= a_n and is not separately constrained.
+    p is the total power (mW), a_n/a_f the power fractions, g_s/g_w the
+    strong and weak users' gains |h_eff|^2. Every argument broadcasts. SIC
+    decodability at the strong user is implied by g_s >= g_w together with
+    a_f >= a_n and is not separately constrained.
     """
+    rate_near = np.log1p(p * a_n * g_s / noise) / LN2
+    rate_far = np.log1p(p * a_f * g_w / (p * a_n * g_w + noise)) / LN2
+    return rate_near, rate_far
+
+
+def sic_rate_gradient(p, a_n, a_f, g_s, g_w, noise):
+    """Partial derivatives of rate_near + rate_far from sic_rates with
+    respect to g_s and g_w, broadcasting like sic_rates."""
+    p_near = p * a_n
+    p_total = p * (a_n + a_f)
+    d_strong = p_near / (p_near * g_s + noise) / LN2
+    d_weak = (p_total / (p_total * g_w + noise) - p_near / (p_near * g_w + noise)) / LN2
+    return d_strong, d_weak
+
+
+def achievable_rates(alloc: NomaAllocation, h_strong: complex, h_weak: complex,
+                     noise_mw: float, sic_order: tuple = (0, 1)) -> RateResult:
+    """sic_rates at one allocation and pair of effective channels."""
     if noise_mw <= 0:
         raise ValueError("noise_mw must be positive")
-    p = alloc.total_power_mw
-    g_s = abs(h_strong) ** 2
-    g_w = abs(h_weak) ** 2
-    rate_far = np.log1p(p * alloc.alpha_far * g_w / (p * alloc.alpha_near * g_w + noise_mw)) / LN2
-    rate_near = np.log1p(p * alloc.alpha_near * g_s / noise_mw) / LN2
+    rate_near, rate_far = sic_rates(alloc.total_power_mw, alloc.alpha_near, alloc.alpha_far,
+                                    abs(h_strong) ** 2, abs(h_weak) ** 2, noise_mw)
     return RateResult(float(rate_near), float(rate_far), float(rate_near + rate_far), sic_order)
 
 

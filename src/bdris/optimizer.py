@@ -25,30 +25,33 @@ projected-gradient phase update:
   improve f - then backtracks by halving.
 
 The conventional-surface baseline (CD_RIS) is the same solver restricted to
-the single-connected diagonal set. Warm-starting the beyond-diagonal run
-from the converged baseline phases makes its final sum rate dominate the
-baseline on every realization, since diagonal unit-modulus matrices are
-feasible for every architecture and neither subproblem ever returns a worse
-point than its warm start.
+the single-connected diagonal set. bcd_solve starts from the phases it is
+given, or from the identity; warm-starting the beyond-diagonal run from the
+converged baseline phases (experiments.solve_pair) makes its final sum rate
+dominate the baseline on every realization, since diagonal unit-modulus
+matrices are feasible for every architecture and neither subproblem ever
+returns a worse point than its warm start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization, db_to_linear, effective_channel
-from .noma import (LN2, NomaAllocation, RateResult, achievable_rates,
-                   min_power_split_for_far_rate, order_users)
-from .surfaces import PhaseResponse, RisSpec, project_feasible, random_feasible
+from .noma import (NomaAllocation, RateResult, achievable_rates,
+                   min_power_split_for_far_rate, order_users, sic_rate_gradient,
+                   sic_rates)
+from .surfaces import PhaseResponse, RisSpec, project_feasible
 
 SCHEMES = ("BD_RIS", "CD_RIS")
 
-# Backtracking ladder: one huge step (the minorant maximizer), then halving.
-_TAU_HUGE = 1e8
-_TAU_HALVINGS = 14
+# Backtracking ladder, in units of sqrt(K)/|gradient|: one huge step (the
+# minorant maximizer), then halving from 1.
+_TAUS = (1e8,) + tuple(0.5 ** i for i in range(14))
 _IMPROVE_MARGIN = 1e-12
+_PHASE_INNER_ITERS = 100
 
 _ORACLE_MAX_CANDIDATES = 2_000_000
 _ORACLE_ALPHA_STEP = 1e-3
@@ -91,33 +94,18 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class BcdSettings:
-    """Solver knobs.
-
-    warm_start: 'identity', 'cd' (solve the single-connected problem first
-    and start from its phases), or 'random' (a feasible draw from
-    warm_start_seed). restarts=True adds deterministic auxiliary starts to
-    the phase subproblem (per-user aligned projections, plus a coarse phase
-    grid for diagonal sets with K <= 3) and selects by achieved sum rate;
-    the returned point never has a lower sum rate than the warm start.
-    With restarts=False the subproblem is a single ascent from the warm
-    start, so the surrogate value also never decreases.
-    """
+    """Stopping rule of bcd_solve's outer loop (config keys bcd_max_iters
+    and bcd_rate_tol): at most max_outer_iters iterations, stopping early
+    once one raises the sum rate by less than rate_tolerance."""
 
     max_outer_iters: int = 50
     rate_tolerance: float = 1e-4     # bps/Hz
-    phase_step_size: float = 1.0
-    phase_inner_iters: int = 100
-    warm_start: str = "identity"
-    warm_start_seed: int = 0
-    restarts: bool = True
 
     def __post_init__(self):
-        if self.max_outer_iters < 1 or self.phase_inner_iters < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if self.rate_tolerance <= 0 or self.phase_step_size <= 0:
-            raise ValueError("rate_tolerance and phase_step_size must be positive")
-        if self.warm_start not in ("identity", "cd", "random"):
-            raise ValueError(f"unknown warm_start {self.warm_start!r}")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be >= 1")
+        if self.rate_tolerance <= 0:
+            raise ValueError("rate_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -236,7 +224,7 @@ def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
 
 
 class _Objective:
-    """Effective gains, sum rate at a fixed allocation, and surrogate."""
+    """Effective gains and, at a fixed allocation, the sum rate and its gradient."""
 
     def __init__(self, ch: ChannelRealization, alloc: NomaAllocation):
         self.hd = ch.h_direct
@@ -252,32 +240,24 @@ class _Objective:
         return self.hd + self.gc @ state.image(self.h)
 
     def sum_rate_of_gains(self, gains: np.ndarray):
-        if gains.shape[-1] == 1:
-            p_full = self.p * (self.an + self.af)
-            return np.log1p(p_full * gains[..., 0] / self.noise) / LN2
-        g_s = np.max(gains, axis=-1)
-        g_w = np.min(gains, axis=-1)
-        r_n = np.log1p(self.p * self.an * g_s / self.noise) / LN2
-        r_f = np.log1p(self.p * self.af * g_w / (self.p * self.an * g_w + self.noise)) / LN2
+        """Sum rate per row of gains; a lone user is both strong and weak."""
+        r_n, r_f = sic_rates(self.p, self.an, self.af, np.max(gains, axis=-1),
+                             np.min(gains, axis=-1), self.noise)
         return r_n + r_f
 
     def sum_rate(self, e: np.ndarray) -> float:
         return float(self.sum_rate_of_gains(np.abs(e) ** 2))
 
-
-def _rate_weights(gains: np.ndarray, alloc: NomaAllocation, noise: float) -> np.ndarray:
-    """dR_u/dgamma_u for each user at the current gains and allocation."""
-    p = alloc.total_power_mw
-    if gains.shape == (1,):
-        p_full = p * (alloc.alpha_near + alloc.alpha_far)
-        return np.array([p_full / (p_full * gains[0] + noise) / LN2])
-    strong, weak = order_users(np.sqrt(gains))
-    g_s, g_w = gains[strong], gains[weak]
-    w = np.empty(2)
-    w[strong] = p * alloc.alpha_near / (p * alloc.alpha_near * g_s + noise) / LN2
-    w[weak] = (p / (p * g_w + noise)
-               - p * alloc.alpha_near / (p * alloc.alpha_near * g_w + noise)) / LN2
-    return w
+    def rate_weights(self, gains: np.ndarray) -> np.ndarray:
+        """dR/dgamma_u per user; a lone user is both strong and weak."""
+        strong = int(np.argmax(gains))     # ties go to the lower index, as in order_users
+        weak = len(gains) - 1 - strong
+        d_strong, d_weak = sic_rate_gradient(self.p, self.an, self.af, gains[strong],
+                                             gains[weak], self.noise)
+        w = np.zeros(len(gains))
+        w[strong] += d_strong
+        w[weak] += d_weak
+        return w
 
 
 def _align_global_phase(state: _PhaseState, e: np.ndarray, obj: _Objective,
@@ -290,8 +270,7 @@ def _align_global_phase(state: _PhaseState, e: np.ndarray, obj: _Objective,
     return state.rotated(phase), obj.hd + (e - obj.hd) * phase
 
 
-def _ascend(state: _PhaseState, obj: _Objective, weights: np.ndarray,
-            settings: BcdSettings):
+def _ascend(state: _PhaseState, obj: _Objective, weights: np.ndarray):
     """Projected gradient ascent from one start; returns the iterate with the
     best sum rate along the path (surrogate is non-decreasing along it)."""
     state, e = _align_global_phase(state, obj.eff(state), obj, weights)
@@ -300,15 +279,14 @@ def _ascend(state: _PhaseState, obj: _Objective, weights: np.ndarray,
     best_state = state
     h = obj.h
     sqrt_k = np.sqrt(len(h))
-    taus = [_TAU_HUGE] + [settings.phase_step_size * 0.5 ** i for i in range(_TAU_HALVINGS)]
-    for _ in range(settings.phase_inner_iters):
+    for _ in range(_PHASE_INNER_ITERS):
         q = (weights * e) @ obj.g      # gradient of the surrogate is q h^H
         grad_norm = np.linalg.norm(q) * np.linalg.norm(h)
         if grad_norm == 0.0:
             break
         scale = sqrt_k / grad_norm
         accepted = None
-        for tau in taus:
+        for tau in _TAUS:
             cand = state.stepped(q, h, tau * scale)
             cand, e_cand = _align_global_phase(cand, obj.eff(cand), obj, weights)
             f_cand = float(np.sum(weights * np.abs(e_cand) ** 2))
@@ -347,25 +325,23 @@ def _aligned_start(g_u: np.ndarray, h: np.ndarray, spec: RisSpec) -> _PhaseState
 
 def _coarse_grid_start(obj: _Objective, k: int, points: int = 8) -> _PhaseState:
     """Best of a coarse per-element phase grid by sum rate (diagonal, small K)."""
-    phases = np.exp(2j * np.pi * np.arange(points) / points)
-    grids = np.meshgrid(*([phases] * k), indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)      # (points^k, k)
+    flat = _diag_candidates(k, points)
     e = obj.hd[None, :] + flat @ (obj.gc * obj.h[None, :]).T
     rates = obj.sum_rate_of_gains(np.abs(e) ** 2)
     return _PhaseState(flat[int(np.argmax(rates))].copy(), True, 1)
 
 
 def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
-                           problem: ProblemSpec, settings: BcdSettings,
+                           problem: ProblemSpec,
                            warm_start_pr: PhaseResponse | None = None) -> PhaseResponse:
     """Improve the surface phases at a fixed power allocation.
 
     Runs projected gradient ascent on the weighted effective-gain surrogate
     (weights evaluated at the warm-start gains), projecting every step back
-    onto the feasible set of the scheme's architecture. With restarts
-    enabled, ascents also run from per-user aligned starts and (for diagonal
-    sets with K <= 3) a coarse-grid seed, and the best iterate by achieved
-    sum rate is returned - never worse than the warm start.
+    onto the feasible set of the scheme's architecture. Ascents run from the
+    warm start (the identity when None), from per-user aligned starts and
+    (diagonal sets with K <= 3) from a coarse-grid seed; the best iterate by
+    achieved sum rate is returned - never worse than the warm start.
     """
     spec = problem.effective_spec
     obj = _Objective(ch, alloc)
@@ -378,21 +354,18 @@ def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
     warm = _state_from_matrix(base, obj.h, spec)
 
     e_warm = obj.eff(warm)
-    weights = _rate_weights(np.abs(e_warm) ** 2, alloc, obj.noise)
+    weights = obj.rate_weights(np.abs(e_warm) ** 2)
 
-    candidates = [warm]
-    if settings.restarts:
-        for u in range(ch.num_users):
-            candidates.append(_aligned_start(ch.g_ris_user[u], ch.h_sat_ris, spec))
-        if spec.block_size == 1 and spec.num_elements <= 3:
-            candidates.append(_coarse_grid_start(obj, spec.num_elements))
+    candidates = [warm] + [_aligned_start(g_u, ch.h_sat_ris, spec) for g_u in ch.g_ris_user]
+    if spec.block_size == 1 and spec.num_elements <= 3:
+        candidates.append(_coarse_grid_start(obj, spec.num_elements))
 
     best_state, best_rate = warm, obj.sum_rate(e_warm)
     for cand in candidates:
         raw_rate = obj.sum_rate(obj.eff(cand))
         if raw_rate > best_rate:
             best_state, best_rate = cand, raw_rate
-        state, rate = _ascend(cand, obj, weights, settings)
+        state, rate = _ascend(cand, obj, weights)
         if rate > best_rate:
             best_state, best_rate = state, rate
     if best_state.diag:
@@ -440,23 +413,12 @@ def _evaluate(ch: ChannelRealization, pr: PhaseResponse, alloc: NomaAllocation) 
     return achievable_rates(alloc, h_effs[strong], h_effs[weak], ch.noise_mw, (strong, weak))
 
 
-def _resolve_warm_start(ch: ChannelRealization, problem: ProblemSpec,
-                        settings: BcdSettings) -> PhaseResponse:
-    spec = problem.effective_spec
-    if settings.warm_start == "random":
-        return random_feasible(spec, np.random.default_rng(settings.warm_start_seed))
-    if settings.warm_start == "cd" and problem.scheme != "CD_RIS":
-        cd_problem = replace(problem, scheme="CD_RIS")
-        cd_solution = bcd_solve(ch, cd_problem, replace(settings, warm_start="identity"))
-        return cd_solution.phase
-    return PhaseResponse.reflective(np.eye(spec.num_elements, dtype=complex))
-
-
 def bcd_solve(ch: ChannelRealization, problem: ProblemSpec, settings: BcdSettings,
               warm_start_pr: PhaseResponse | None = None) -> Solution:
     """Alternate the power and phase subproblems until the sum-rate gain per
     outer iteration falls below rate_tolerance or max_outer_iters is hit.
 
+    The phases start at warm_start_pr, or at the identity when it is None.
     The initial power solve on the warm-start phases counts as iteration 1,
     so max_outer_iters=1 returns that allocation untouched. The trace is
     non-decreasing: the power step is an exact argmax at fixed phases and
@@ -465,13 +427,15 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec, settings: BcdSetting
     """
     if ch.num_users != 2:
         raise ValueError("bcd_solve expects exactly 2 users")
-    pr = warm_start_pr if warm_start_pr is not None else _resolve_warm_start(ch, problem, settings)
+    pr = warm_start_pr
+    if pr is None:
+        pr = PhaseResponse.reflective(np.eye(problem.ris_spec.num_elements, dtype=complex))
     alloc = solve_power_subproblem(ch, pr, problem)
     rates = _evaluate(ch, pr, alloc)
     trace = [rates.sum_rate]
     converged = False
     for _ in range(settings.max_outer_iters - 1):
-        pr = solve_phase_subproblem(ch, alloc, problem, settings, warm_start_pr=pr)
+        pr = solve_phase_subproblem(ch, alloc, problem, warm_start_pr=pr)
         alloc = solve_power_subproblem(ch, pr, problem)
         rates = _evaluate(ch, pr, alloc)
         trace.append(rates.sum_rate)
@@ -546,15 +510,12 @@ def brute_force_oracle(ch: ChannelRealization, problem: ProblemSpec,
     g_s = np.max(gains, axis=1)
     g_w = np.min(gains, axis=1)
     p = problem.power_mw
-    noise = ch.noise_mw
     steps = int(round(0.5 / _ORACLE_ALPHA_STEP))
     alpha_grid = (steps + np.arange(steps + 1)) / (2 * steps)    # exactly {0.500 .. 1.000}
 
     best = (-np.inf, -1, 0.5)
     for alpha_far in alpha_grid:
-        alpha_near = 1.0 - alpha_far
-        r_n = np.log1p(p * alpha_near * g_s / noise) / LN2
-        r_f = np.log1p(p * alpha_far * g_w / (p * alpha_near * g_w + noise)) / LN2
+        r_n, r_f = sic_rates(p, 1.0 - alpha_far, alpha_far, g_s, g_w, ch.noise_mw)
         total = r_n + r_f
         feasible = (r_n >= problem.min_rate_near - 1e-12) & (r_f >= problem.min_rate_far - 1e-12)
         if not np.any(feasible):

@@ -14,7 +14,8 @@ import pytest
 
 from bdris.channel import (GeometryParams, LinkBudgetParams, draw_realization,
                            rician_sample, slant_range)
-from bdris.experiments import SweepSpec, emit_csv, run_element_sweep, run_power_sweep
+from bdris.experiments import (SweepSpec, emit_csv, run_element_sweep, run_power_sweep,
+                               solve_pair)
 from bdris.noma import NomaAllocation, min_power_split_for_far_rate
 from bdris.optimizer import (BcdSettings, ProblemSpec, bcd_solve,
                              brute_force_oracle, solve_phase_subproblem)
@@ -159,7 +160,7 @@ def test_criterion_3_oracle_agreement():
         rng = np.random.default_rng([BASE_SEED, 302, i])
         ch = draw_realization(GEOMETRY, LINK_BUDGET, k, num_users=1,
                               include_direct=(i % 2 == 1), rng=rng)
-        pr = solve_phase_subproblem(ch, alloc, problem_full, settings)
+        pr = solve_phase_subproblem(ch, alloc, problem_full)
         gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (pr.phi @ ch.h_sat_ris))
         bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
                                        * np.linalg.norm(ch.h_sat_ris))
@@ -178,21 +179,19 @@ def test_criterion_3_oracle_agreement():
 
 
 def test_criterion_4_dominance():
-    settings = BcdSettings()
     rel_margin = 1e-9            # rates are ~1e-13 bps/Hz, so the bound is relative
     worst = {}
     for spec in (RisSpec(80, "full", "reflective"),
                  RisSpec(80, "group", "reflective", group_count=16)):
-        cd_problem = ProblemSpec(spec, 20.0, scheme="CD_RIS")
-        bd_problem = ProblemSpec(spec, 20.0, scheme="BD_RIS")
+        problem = ProblemSpec(spec, 20.0)
         min_ratio = np.inf
         for trial in range(200):
             rng = np.random.default_rng([BASE_SEED, 401, trial])
             ch = draw_realization(GEOMETRY, LINK_BUDGET, 80, num_users=2,
                                   include_direct=(trial % 2 == 1), rng=rng)
-            cd = bcd_solve(ch, cd_problem, settings)
-            bd = bcd_solve(ch, bd_problem, settings, warm_start_pr=cd.phase)
-            min_ratio = min(min_ratio, bd.rates.sum_rate / cd.rates.sum_rate)
+            pair = solve_pair(ch, problem)
+            min_ratio = min(min_ratio,
+                            pair["BD_RIS"].rates.sum_rate / pair["CD_RIS"].rates.sum_rate)
         worst[spec.architecture] = min_ratio - 1.0
     ok = all(gap >= -rel_margin for gap in worst.values())
     assert report(

@@ -184,6 +184,13 @@ class TestSweepCommands:
         code, _, _ = run(capsys, "--set", "mode=multisector", "sweep-power")
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        code, _, err = run(capsys, "--set", f"out_dir={tmp_path}", "sweep-elements",
+                           "--workers", workers)
+        assert code == 2 and "--workers" in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestOracleCheck:
     def test_passes_on_defaults(self, capsys):

@@ -82,6 +82,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"'{key}'"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("key,value", [
+        ("power_dbm", "nan"), ("noise_dbm", "inf"), ("tx_gain_dbi", "-inf"),
+        ("rician_k", "Infinity"),
+    ])
+    def test_non_finite_floats_name_the_key(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"'{key}': expected a finite number"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=f"'{key}': expected a finite number"):
+            apply_overrides(SimConfig(), [f"{key}={value}"])
+
     def test_validate_config_passes_defaults(self):
         assert validate_config(SimConfig()) == SimConfig()
 

@@ -2,15 +2,17 @@
 
 import csv
 import io
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from bdris.channel import GeometryParams, LinkBudgetParams
+from bdris import experiments
+from bdris.channel import GeometryParams, LinkBudgetParams, draw_realization
 from bdris.experiments import (AGGREGATE_HEADER, DETAIL_HEADER, SweepResult,
                                SweepSpec, emit_csv, emit_plot_script,
-                               run_element_sweep, run_power_sweep)
-from bdris.optimizer import BcdSettings
+                               run_element_sweep, run_power_sweep, solve_pair)
+from bdris.optimizer import InfeasibleAllocationError, ProblemSpec
 from bdris.surfaces import RisSpec
 
 
@@ -69,6 +71,29 @@ class TestRunSweeps:
         serial = run_power_sweep(spec, workers=1)
         parallel = run_power_sweep(spec, workers=2)
         assert serial == parallel
+
+    def test_pool_has_at_most_one_process_per_point(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        two_points = small_spec(trials=1)
+        assert run_power_sweep(two_points, workers=64) == run_power_sweep(two_points)
+        one_point = small_spec(trials=1, power_points_dbm=(10.0,))
+        assert run_power_sweep(one_point, workers=8) == run_power_sweep(one_point)
+        assert started == [2]             # the one-point sweep ran without a pool
 
     def test_element_sweep_varies_k(self):
         result = run_element_sweep(small_spec(trials=2))
@@ -167,12 +192,48 @@ class TestEmitPlotScript:
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
-class TestWarmStartInteraction:
-    def test_bd_only_run_honors_cd_warm_setting(self):
-        spec = small_spec(schemes=("BD_RIS",), trials=2,
-                          settings=BcdSettings(warm_start="cd"))
-        both = small_spec(trials=2)
-        solo = run_power_sweep(spec)
-        paired = run_power_sweep(both)
-        bd_rows = [r for r in paired.detail_rows if r[2] == "BD_RIS"]
-        assert [r[6] for r in solo.detail_rows] == [r[6] for r in bd_rows]
+class TestSolvePair:
+    """CD first, then BD from the CD phases: the one place the schemes pair."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        solve = experiments.bcd_solve
+
+        def recording(ch, problem, settings, warm_start_pr=None):
+            calls.append((problem.scheme, warm_start_pr))
+            return solve(ch, problem, settings, warm_start_pr=warm_start_pr)
+
+        monkeypatch.setattr(experiments, "bcd_solve", recording)
+        return calls
+
+    @staticmethod
+    def channel():
+        return draw_realization(GeometryParams(), LinkBudgetParams(), 4,
+                                rng=np.random.default_rng(3))
+
+    def test_cd_then_bd_from_the_cd_phases(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        pair = solve_pair(self.channel(), ProblemSpec(RisSpec(4, "full"), 10.0))
+        assert [scheme for scheme, _ in calls] == ["CD_RIS", "BD_RIS"]
+        assert calls[0][1] is None
+        assert calls[1][1] is pair["CD_RIS"].phase
+        assert list(pair) == ["CD_RIS", "BD_RIS"]
+        assert pair["BD_RIS"].rates.sum_rate >= pair["CD_RIS"].rates.sum_rate * (1 - 1e-9)
+
+    def test_infeasible_cd_starts_bd_from_the_identity(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        pair = solve_pair(self.channel(), ProblemSpec(RisSpec(4, "full"), 10.0,
+                                                      min_rate_far=5.0))
+        assert calls == [("CD_RIS", None), ("BD_RIS", None)]
+        assert all(isinstance(r, InfeasibleAllocationError) for r in pair.values())
+
+    def test_one_pair_per_trial_in_sweeps(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        run_power_sweep(small_spec(trials=2))
+        assert [scheme for scheme, _ in calls] == ["CD_RIS", "BD_RIS"] * 4
+
+    def test_bd_only_sweep_matches_the_paired_bd_rows(self):
+        solo = run_power_sweep(small_spec(schemes=("BD_RIS",), trials=2))
+        paired = run_power_sweep(small_spec(trials=2))
+        assert solo.detail_rows == tuple(r for r in paired.detail_rows if r[2] == "BD_RIS")

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdris.noma import (NomaAllocation, achievable_rates,
-                        min_power_split_for_far_rate, order_users)
+                        min_power_split_for_far_rate, order_users,
+                        sic_rate_gradient, sic_rates)
 
 LOG2_9 = 3.1699250014423124
 
@@ -87,6 +89,28 @@ class TestAchievableRates:
                                   np.sqrt(g), np.sqrt(g), 1.0).sum_rate
                  for af in (0.5, 0.6, 0.8, 1.0)]
         assert max(rates) - min(rates) < 1e-12
+
+
+class TestSicRateGradient:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-16.0, 2.0), st.floats(-16.0, 2.0), st.floats(-2.0, 2.0),
+           st.floats(0.5, 1.0), st.sampled_from([1.0, 0.5, 0.0]))
+    def test_matches_central_difference_of_the_sum_rate(self, exp_a, exp_b, exp_p, a_f,
+                                                         near_share):
+        # gains 1e-16 .. 1e2 at unit noise and 0.01 .. 100 mW: SNRs 1e-18 .. 1e4;
+        # the fractions sum to 1, or to less when near_share < 1
+        g_s, g_w = 10.0 ** max(exp_a, exp_b), 10.0 ** min(exp_a, exp_b)
+        p, a_n = 10.0 ** exp_p, (1.0 - a_f) * near_share
+        d_strong, d_weak = sic_rate_gradient(p, a_n, a_f, g_s, g_w, 1.0)
+        # each gain moves one of the two rates; differencing that rate alone
+        # keeps the other one's rounding out of the quotient
+        step_s, step_w = 1e-4 * g_s, 1e-4 * g_w
+        fd_strong = (sic_rates(p, a_n, a_f, g_s + step_s, g_w, 1.0)[0]
+                     - sic_rates(p, a_n, a_f, g_s - step_s, g_w, 1.0)[0]) / (2 * step_s)
+        fd_weak = (sic_rates(p, a_n, a_f, g_s, g_w + step_w, 1.0)[1]
+                   - sic_rates(p, a_n, a_f, g_s, g_w - step_w, 1.0)[1]) / (2 * step_w)
+        assert d_strong == pytest.approx(fd_strong, rel=1e-6)
+        assert d_weak == pytest.approx(fd_weak, rel=1e-6)
 
 
 class TestMinPowerSplit:
