@@ -15,7 +15,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .channel import GeometryParams, LinkBudgetParams
+from .channel import GeometryParams, LinkBudgetParams, db_to_linear
 from .optimizer import BcdSettings
 from .surfaces import ARCHITECTURES, MODES, RisSpec
 
@@ -96,6 +96,15 @@ def _require(condition: bool, key: str, message: str):
         raise ConfigError(f"key '{key}': {message}")
 
 
+def _linear_ok(value_db: float) -> bool:
+    """True when the dB value maps to a finite, positive linear value."""
+    try:
+        linear = db_to_linear(value_db)
+    except OverflowError:
+        return False
+    return math.isfinite(linear) and linear > 0
+
+
 def validate_config(cfg: SimConfig) -> SimConfig:
     _require(cfg.altitude_km > 0, "altitude_km", "must be > 0")
     _require(0 < cfg.elevation_deg <= 90, "elevation_deg", "must be in (0, 90]")
@@ -107,6 +116,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(cfg.path_loss_exponent >= 2, "path_loss_exponent", "must be >= 2")
     _require(0 < cfg.reflection_magnitude <= 1, "reflection_magnitude", "must be in (0, 1]")
     _require(cfg.rician_k >= 0, "rician_k", "must be >= 0")
+    for key in ("power_dbm", "noise_dbm", "tx_gain_dbi", "rx_gain_dbi"):
+        _require(_linear_ok(getattr(cfg, key)), key,
+                 "linear value must be finite and > 0")
     _require(cfg.num_elements >= 1, "num_elements", "must be >= 1")
     _require(cfg.architecture in ARCHITECTURES, "architecture",
              f"must be one of {', '.join(ARCHITECTURES)}")

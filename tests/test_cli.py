@@ -145,6 +145,15 @@ class TestSolveOne:
         code, _, err = run(capsys, "--set", "mode=hybrid", "solve-one")
         assert code == 2 and "reflective" in err
 
+    @pytest.mark.parametrize("assignment", [
+        "power_dbm=3090", "noise_dbm=3090", "tx_gain_dbi=3090", "rx_gain_dbi=3090",
+        "noise_dbm=-4000", "power_dbm=-4000",
+    ])
+    def test_db_value_past_the_linear_range_exit_2(self, capsys, assignment):
+        code, out, err = run(capsys, *self.ARGS, "--set", assignment, "solve-one")
+        assert code == 2 and out == ""
+        assert f"'{assignment.split('=')[0]}'" in err and "linear value" in err
+
 
 class TestSweepCommands:
     def test_power_sweep_writes_files(self, tmp_path, capsys):

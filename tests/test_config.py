@@ -94,6 +94,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"'{key}': expected a finite number"):
             apply_overrides(SimConfig(), [f"{key}={value}"])
 
+    @pytest.mark.parametrize("key,value", [
+        ("power_dbm", "3090"), ("power_dbm", "-4000"), ("noise_dbm", "3090"),
+        ("noise_dbm", "-4000"), ("tx_gain_dbi", "3090"), ("rx_gain_dbi", "3090"),
+        ("rx_gain_dbi", "-4000"),
+    ])
+    def test_db_values_outside_the_linear_range_name_the_key(self, tmp_path, key, value):
+        # 10^(x/10) overflows above ~3083 dB and underflows to 0 below ~-3240 dB
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        message = f"'{key}': linear value must be finite and > 0"
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(SimConfig(), [f"{key}={value}"])
+
+    def test_large_but_representable_db_values_pass(self):
+        cfg = apply_overrides(SimConfig(), ["power_dbm=300", "noise_dbm=-300",
+                                            "tx_gain_dbi=3000", "rx_gain_dbi=-3000"])
+        assert cfg.power_dbm == 300.0 and cfg.rx_gain_dbi == -3000.0
+
     def test_validate_config_passes_defaults(self):
         assert validate_config(SimConfig()) == SimConfig()
 

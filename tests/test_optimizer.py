@@ -13,7 +13,8 @@ from bdris.noma import NomaAllocation, achievable_rates, order_users
 from bdris.optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
                              Solution, bcd_solve, brute_force_oracle,
                              solve_phase_subproblem, solve_power_subproblem,
-                             _aligned_start, _Objective, _polar_image_step,
+                             _align_global_phase, _aligned_start, _ascend, _Objective,
+                             _PhaseState, _polar_image_step, _state_from_matrix,
                              _surface_with_image)
 from bdris.surfaces import (PhaseResponse, RisSpec, project_feasible, random_feasible,
                             validate)
@@ -253,6 +254,67 @@ class TestAlignedStart:
             start = _aligned_start(g, h, spec).image(h)
             reference = project_feasible(np.outer(g, np.conj(h)), spec).phi @ h
             assert np.linalg.norm(start - reference) < 1e-12 * np.linalg.norm(h)
+
+
+class TestAscentStep:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(k, 0) for k in range(1, 13)]
+                           + [(k, 1) for k in range(2, 13)]
+                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
+                              if k % g == 0]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
+           st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), st.booleans())
+    def test_one_huge_step_never_lowers_the_surrogate(self, shape, seed, direct,
+                                                      weights, aligned):
+        # f is convex with weights >= 0, so the projected huge step (the
+        # maximizer of the linear minorant) followed by the global-phase line
+        # search cannot lower it: the ascent's one-step rule relies on this
+        k, g = shape
+        spec = (RisSpec(k, "single") if g == 0 else RisSpec(k, "full") if g == 1
+                else RisSpec(k, "group", group_count=g))
+        ch = unit_channel(k, seed=seed, direct_scale=direct)
+        obj = _Objective(ch, NomaAllocation(10.0, 0.5, 0.5))
+        weights = np.array(weights)
+        state = _state_from_matrix(random_feasible(spec, seed).phi, obj.h, spec)
+        e = obj.eff(state)
+        if aligned:
+            state, e = _align_global_phase(state, e, obj, weights)
+        f_before = np.sum(weights * np.abs(e) ** 2)
+        q = (weights * e) @ obj.g
+        grad_norm = np.linalg.norm(q) * np.linalg.norm(obj.h)
+        if grad_norm == 0.0:
+            return
+        stepped = state.stepped(q, obj.h, 1e8 * np.sqrt(k) / grad_norm)
+        _, e_after = _align_global_phase(stepped, obj.eff(stepped), obj, weights)
+        assert np.sum(weights * np.abs(e_after) ** 2) >= f_before * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("spec,direct", [
+        (RisSpec(80, "full"), False),
+        (RisSpec(80, "group", group_count=16), True),
+    ])
+    def test_converged_ascent_takes_one_step(self, monkeypatch, spec, direct):
+        ch = draw_realization(GeometryParams(), LinkBudgetParams(), 80, num_users=2,
+                              include_direct=direct, rng=np.random.default_rng(3))
+        problem = ProblemSpec(spec, power_dbm=10.0)
+        identity = np.eye(80, dtype=complex)
+        obj = _Objective(ch, solve_power_subproblem(ch, PhaseResponse.reflective(identity),
+                                                    problem))
+        weights = obj.rate_weights(np.abs(obj.eff(_state_from_matrix(identity, obj.h,
+                                                                     spec))) ** 2)
+        end, rate = _ascend(_aligned_start(ch.g_ris_user[0], obj.h, spec), obj, weights)
+
+        calls = []
+        stepped = _PhaseState.stepped
+
+        def counted(self, *args):
+            calls.append(args)
+            return stepped(self, *args)
+
+        monkeypatch.setattr(_PhaseState, "stepped", counted)
+        again, rate_again = _ascend(end, obj, weights)
+        assert len(calls) == 1
+        assert rate_again == pytest.approx(rate, rel=1e-12)
+        assert obj.sum_rate(obj.eff(again)) == pytest.approx(rate, rel=1e-12)
 
 
 class TestPhaseSubproblem:
