@@ -15,7 +15,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .channel import GeometryParams, LinkBudgetParams, db_to_linear
+from .channel import GeometryParams, LinkBudgetParams, db_to_linear, path_gain, slant_range
 from .optimizer import BcdSettings
 from .surfaces import ARCHITECTURES, MODES, RisSpec
 
@@ -105,6 +105,33 @@ def _linear_ok(value_db: float) -> bool:
     return math.isfinite(linear) and linear > 0
 
 
+def _check_link_gains(cfg: SimConfig) -> None:
+    """Each configured link's path gain, and the cascade through the surface
+    to each user, must be finite and > 0 at the configured geometry: dB
+    values that pass one by one can still overflow or underflow together."""
+    geom, lb = geometry_from(cfg), link_budget_from(cfg)
+
+    def gain(distance_km: float) -> float:
+        try:
+            return path_gain(distance_km, lb)
+        except OverflowError:       # d ** -eta past the float range
+            return math.inf
+
+    d_sr = slant_range(geom)
+    g_sr = gain(d_sr)
+    gains = [("satellite-to-surface", g_sr)]
+    for user, d_ru in zip(("near", "far"), geom.ris_user_km):
+        g_ru = gain(d_ru)
+        gains += [(f"surface-to-{user}-user", g_ru), (f"cascaded {user}-user", g_sr * g_ru)]
+        if cfg.include_direct:
+            gains.append((f"direct {user}-user", gain(d_sr + d_ru)))
+    for link, value in gains:
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"keys 'tx_gain_dbi', 'rx_gain_dbi', 'freq_ghz', "
+                              f"'path_loss_exponent' and the distances: the {link} path "
+                              f"gain is {value:g}, it must be finite and > 0")
+
+
 def validate_config(cfg: SimConfig) -> SimConfig:
     _require(cfg.altitude_km > 0, "altitude_km", "must be > 0")
     _require(0 < cfg.elevation_deg <= 90, "elevation_deg", "must be in (0, 90]")
@@ -132,6 +159,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(cfg.bcd_max_iters >= 1, "bcd_max_iters", "must be >= 1")
     _require(cfg.bcd_rate_tol > 0, "bcd_rate_tol", "must be > 0")
     _require(bool(cfg.out_dir), "out_dir", "must be non-empty")
+    _check_link_gains(cfg)
     return cfg
 
 

@@ -1,30 +1,29 @@
 """
 Sum-rate maximization over power split and surface phases.
 
-Block coordinate descent alternates a closed-form power split with a
-projected-gradient phase update:
+Block coordinate descent alternates a closed-form power split with an
+exposed-point phase update:
 
 - Power subproblem: with the SIC ordering fixed by the current phases, the
   two-user sum rate is non-increasing in alpha_far on [0.5, 1], so the
   optimum sits at the smallest feasible split alpha_far = max(0.5,
   alpha_far*), alpha_near = 1 - alpha_far, using full power.
-- Phase subproblem: projected gradient ascent on the weighted effective-gain
-  surrogate f(Phi) = sum_u w_u |h_d,u + g_u^H Phi h|^2, with weights equal to
-  the rate sensitivities dR_u/d|h_eff,u|^2 at the current operating point.
-  With a single satellite feed Phi enters the objective only through its
-  image v = Phi h, and the gradient is the rank-one matrix q h^H. For
-  unitary blocks the ascent therefore runs on v itself (one vector of norm
-  |h_b| per block): the image of the projected step polar(Phi_b + tau q_b
-  h_b^H) h_b depends only on v_b and q_b and is taken in closed form on
-  span{q_b, v_b}, O(K) per step for all blocks at once. Phi is built once
-  per phase solve, by a block unitary that maps the warm-start image to the
-  final one. Each step is followed by an exact line search over the global
-  phase (all feasible sets are closed under scalar phase rotation). Every
-  iteration takes one huge step, tau = 1e8 sqrt(K)/|gradient|: f is convex
-  and its weights are >= 0, so f(x_tau) >= f(x) + Re<grad, x_tau - x>, and
-  the projected step makes that linear gain non-negative for every tau and
-  non-decreasing in tau. A shorter step cannot do better on the minorant,
-  so the ascent stops the first time the huge step fails to raise f.
+- Phase subproblem: ascent on the weighted effective-gain surrogate
+  f(Phi) = sum_u w_u |h_d,u + g_u^H Phi h|^2, with weights equal to the rate
+  sensitivities dR_u/d|h_eff,u|^2 at the current operating point. With a
+  single satellite feed Phi enters the objective only through its image
+  v = Phi h, and the feasible images are exactly the vectors with
+  |v_b| = |h_b| per block (bs = 1 is the diagonal surface). The iterate is
+  v for every architecture. Each step is the exposed point
+  v_b = |h_b| q_b/|q_b| of the gradient q = sum_u w_u e_u g_u (the surrogate's
+  gradient in Phi is q h^H), followed by an exact line search over the
+  global phase (all feasible sets are closed under scalar phase rotation).
+  f is convex with weights >= 0, so f(x') >= f(x) + Re<grad, x' - x>, and
+  the exposed point maximizes that linear minorant over the feasible set: no
+  other feasible point, and so no projected step of any size, does better on
+  it. The ascent therefore stops the first time the exposed point fails to
+  raise f. Phi is built once per phase solve, by a block unitary that maps
+  the warm-start image to the final one.
 
 The conventional-surface baseline (CD_RIS) is the same solver restricted to
 the single-connected diagonal set. bcd_solve starts from the phases it is
@@ -45,12 +44,11 @@ from .channel import ChannelRealization, db_to_linear, effective_channel
 from .noma import (NomaAllocation, RateResult, achievable_rates,
                    min_power_split_for_far_rate, order_users, sic_rate_gradient,
                    sic_rates)
-from .surfaces import PhaseResponse, RisSpec, project_feasible
+# perfbench/spans.py wraps optimizer.project_feasible by name; nothing here calls it
+from .surfaces import PhaseResponse, RisSpec, project_feasible  # noqa: F401
 
 SCHEMES = ("BD_RIS", "CD_RIS")
 
-# Step size in units of sqrt(K)/|gradient|: the maximizer of the linear minorant.
-_TAU = 1e8
 _IMPROVE_MARGIN = 1e-12
 _PHASE_INNER_ITERS = 100
 
@@ -136,62 +134,26 @@ def _plane(x: np.ndarray, v: np.ndarray):
     return e1, e2, beta, n
 
 
-def _polar_image_step(v: np.ndarray, q: np.ndarray, tau: float, bs: int) -> np.ndarray:
-    """Image polar(Phi_b + tau q_b h_b^H) h_b of every block, from v_b = Phi_b h_b.
+def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
+             bs: int) -> np.ndarray:
+    """The feasible image that maximizes Re<q, v>: v_b = |h_b| q_b/|q_b|.
 
-    With Phi_b unitary, Phi_b + tau q_b h_b^H = (I + tau q_b v_b^H) Phi_b, so
-    the stepped image is polar(I + tau q_b v_b^H) v_b. That factor moves only
-    span{q_b, v_b}: in the basis {e1, e2} of _plane(q_b, v_b), where v_b has
-    coordinates (beta, n), it is the 2x2 polar factor of
-    t = [[1 + s conj(beta), s n], [0, 1]], s = tau |q_b|, taken in closed
-    form as (t + (det t/|det t|) adj(t)^H) / sqrt(|t|_F^2 + 2 |det t|).
-    Applied to (beta, n) it gives the coordinates c1, c2 below. Cost O(K)
-    over all blocks; blocks with a zero gradient keep their image.
+    It is the image of the projection of q h^H onto the feasible set, and so
+    the limit of every projected gradient step as the step size grows (for
+    bs = 1, v_k = |h_k| e^{j arg q_k}). A block with q_b = 0 keeps its
+    fallback image.
     """
-    vb = v.reshape(-1, bs)
     qb = q.reshape(-1, bs)
-    e1, e2, beta, n = _plane(qb, vb)
-    s = tau * np.linalg.norm(qb, axis=1)
-    det = 1.0 + s * np.conj(beta)
-    mag = np.abs(det)
-    phase = np.divide(det, mag, out=np.ones_like(det), where=mag > 0.0)
-    den = np.sqrt((1.0 + mag) ** 2 + (s * n) ** 2)
-    c1 = (beta * (1.0 + phase) + s * (np.abs(beta) ** 2 + n ** 2)) / den
-    c2 = n * (1.0 + phase) / den
-    new = c1[:, None] * e1 + c2[:, None] * e2
-    return np.where(s[:, None] > 0.0, new, vb).ravel()
-
-
-class _PhaseState:
-    """Feasible iterate: a unit-modulus vector for diagonal sets, otherwise
-    the image v = Phi h of the block-unitary surface (|v_b| = |h_b| per
-    block), which is all the objective sees of Phi."""
-
-    def __init__(self, value: np.ndarray, diag: bool, block_size: int):
-        self.value = value
-        self.diag = diag
-        self.block_size = block_size
-
-    def image(self, h: np.ndarray) -> np.ndarray:
-        return self.value * h if self.diag else self.value
-
-    def stepped(self, q: np.ndarray, h: np.ndarray, tau: float) -> "_PhaseState":
-        if self.diag:
-            d = self.value + tau * (q * np.conj(h))
-            mags = np.abs(d)
-            d = np.where(mags > 0.0, d, 1.0)
-            return _PhaseState(d / np.abs(d), True, 1)
-        bs = self.block_size
-        return _PhaseState(_polar_image_step(self.value, q, tau, bs), False, bs)
-
-    def rotated(self, phase: complex) -> "_PhaseState":
-        return _PhaseState(self.value * phase, self.diag, self.block_size)
-
-
-def _state_from_matrix(mat: np.ndarray, h: np.ndarray, spec: RisSpec) -> _PhaseState:
-    if spec.block_size == 1:
-        return _PhaseState(np.diagonal(mat).copy(), True, 1)
-    return _PhaseState(mat @ h, False, spec.block_size)
+    qn = np.linalg.norm(qb, axis=1)
+    if not 1e-150 < qn.max() < 1e150 and np.any(qb):
+        # only the directions count: rescale so that |q_b|^2 neither under-
+        # nor overflows, part by part (complex division by a subnormal overflows)
+        top = np.max(np.abs(qb))
+        qb = qb.real / top + 1j * (qb.imag / top)
+        qn = np.linalg.norm(qb, axis=1)
+    moved = qn > 0.0
+    scale = np.divide(h_norms, qn, out=np.zeros_like(qn), where=moved)
+    return np.where(moved[:, None], qb * scale[:, None], fallback.reshape(-1, bs)).ravel()
 
 
 def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
@@ -219,7 +181,7 @@ def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
     rot = np.stack([np.stack([cos - 1.0, -sin], axis=1),        # R - I
                     np.stack([sin, np.conj(cos) - 1.0], axis=1)], axis=1)
     coords = basis.conj().transpose(0, 2, 1) @ rows             # (blocks, 2, k)
-    turned = z[:, None, None] * (rows + basis @ (rot @ coords))
+    turned = z[:, None, None] * (rows + (basis @ rot) @ coords)
     moved = np.any(vb != wb, axis=1)
     return np.where(moved[:, None, None], turned, rows).reshape(k, k)
 
@@ -237,8 +199,9 @@ class _Objective:
         self.an = alloc.alpha_near
         self.af = alloc.alpha_far
 
-    def eff(self, state: _PhaseState) -> np.ndarray:
-        return self.hd + self.gc @ state.image(self.h)
+    def eff(self, v: np.ndarray) -> np.ndarray:
+        """Effective channels h_d,u + g_u^H v of the image v = Phi h."""
+        return self.hd + self.gc @ v
 
     def sum_rate_of_gains(self, gains: np.ndarray):
         """Sum rate per row of gains; a lone user is both strong and weak."""
@@ -261,70 +224,46 @@ class _Objective:
         return w
 
 
-def _align_global_phase(state: _PhaseState, e: np.ndarray, obj: _Objective,
+def _align_global_phase(v: np.ndarray, e: np.ndarray, obj: _Objective,
                         weights: np.ndarray):
-    """Exact maximizer of the surrogate over state -> e^{j delta} state."""
+    """Exact maximizer of the surrogate over v -> e^{j delta} v."""
     z = np.sum(weights * np.conj(obj.hd) * (e - obj.hd))
-    if abs(z) == 0.0:
-        return state, e
-    phase = np.conj(z) / abs(z)
-    return state.rotated(phase), obj.hd + (e - obj.hd) * phase
+    mag = abs(z)
+    if mag == 0.0:
+        return v, e
+    phase = complex(z.real / mag, -z.imag / mag)     # by parts: |z| may be subnormal
+    return v * phase, obj.hd + (e - obj.hd) * phase
 
 
-def _ascend(state: _PhaseState, obj: _Objective, weights: np.ndarray):
-    """Projected gradient ascent from one start; returns the iterate with the
-    best sum rate along the path (surrogate is non-decreasing along it)."""
-    state, e = _align_global_phase(state, obj.eff(state), obj, weights)
+def _ascend(v: np.ndarray, obj: _Objective, weights: np.ndarray, h_norms: np.ndarray,
+            bs: int):
+    """Exposed-point ascent from the image v; returns the image with the best
+    sum rate along the path (the surrogate is non-decreasing along it)."""
+    v, e = _align_global_phase(v, obj.eff(v), obj, weights)
     f = float(np.sum(weights * np.abs(e) ** 2))
     best_rate = obj.sum_rate(e)
-    best_state = state
-    h = obj.h
-    h_norm = np.linalg.norm(h)
-    sqrt_k = np.sqrt(len(h))
+    best_v = v
     for _ in range(_PHASE_INNER_ITERS):
         q = (weights * e) @ obj.g      # gradient of the surrogate is q h^H
-        grad_norm = np.linalg.norm(q) * h_norm
-        if grad_norm == 0.0:
-            break
-        cand = state.stepped(q, h, _TAU * (sqrt_k / grad_norm))
+        cand = _exposed(q, h_norms, v, bs)
         cand, e_cand = _align_global_phase(cand, obj.eff(cand), obj, weights)
         f_cand = float(np.sum(weights * np.abs(e_cand) ** 2))
         if not f_cand > f * (1.0 + _IMPROVE_MARGIN):
             break
-        state, e, f = cand, e_cand, f_cand
+        v, e, f = cand, e_cand, f_cand
         rate = obj.sum_rate(e)
         if rate > best_rate:
             best_rate = rate
-            best_state = state
-    return best_state, best_rate
+            best_v = v
+    return best_v, best_rate
 
 
-def _aligned_start(g_u: np.ndarray, h: np.ndarray, spec: RisSpec) -> _PhaseState:
-    """Projection of g_u h^H onto the feasible set: steers the surface to one
-    user alone (up to the global phase fixed later by the line search).
-
-    For unitary blocks the projection's image is known in closed form,
-    v_b = |h_b| g_b/|g_b|, and a block with g_b = 0 projects to the identity,
-    keeping v_b = h_b.
-    """
-    if spec.block_size == 1:
-        pr = project_feasible(np.outer(g_u, np.conj(h)), spec)
-        return _state_from_matrix(pr.phi, h, spec)
-    bs = spec.block_size
-    gb = g_u.reshape(-1, bs)
-    hb = h.reshape(-1, bs)
-    gn = np.linalg.norm(gb, axis=1)
-    scale = np.divide(np.linalg.norm(hb, axis=1), gn, out=np.zeros_like(gn), where=gn > 0.0)
-    v = np.where(gn[:, None] > 0.0, gb * scale[:, None], hb)
-    return _PhaseState(v.ravel(), False, bs)
-
-
-def _coarse_grid_start(obj: _Objective, k: int, points: int = 8) -> _PhaseState:
-    """Best of a coarse per-element phase grid by sum rate (diagonal, small K)."""
+def _coarse_grid_start(obj: _Objective, k: int, points: int = 8) -> np.ndarray:
+    """Image of the best point of a coarse per-element phase grid (diagonal, small K)."""
     flat = _diag_candidates(k, points)
     e = obj.hd[None, :] + flat @ (obj.gc * obj.h[None, :]).T
     rates = obj.sum_rate_of_gains(np.abs(e) ** 2)
-    return _PhaseState(flat[int(np.argmax(rates))].copy(), True, 1)
+    return flat[int(np.argmax(rates))] * obj.h
 
 
 def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
@@ -332,14 +271,16 @@ def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
                            warm_start_pr: PhaseResponse | None = None) -> PhaseResponse:
     """Improve the surface phases at a fixed power allocation.
 
-    Runs projected gradient ascent on the weighted effective-gain surrogate
-    (weights evaluated at the warm-start gains), projecting every step back
-    onto the feasible set of the scheme's architecture. Ascents run from the
-    warm start (the identity when None), from per-user aligned starts and
-    (diagonal sets with K <= 3) from a coarse-grid seed; the best iterate by
-    achieved sum rate is returned - never worse than the warm start.
+    Runs the exposed-point ascent on the weighted effective-gain surrogate
+    (weights evaluated at the warm-start gains) over the image v = Phi h.
+    Ascents run from the warm start (the identity when None), from one start
+    per user, v = _exposed(g_u), that steers the surface to that user alone,
+    and (diagonal sets with K <= 3) from a coarse-grid seed. Phi is built
+    once, from the image with the best achieved sum rate, so the result is
+    never worse than the warm start.
     """
     spec = problem.effective_spec
+    bs = spec.block_size
     obj = _Objective(ch, alloc)
     if warm_start_pr is not None:
         if warm_start_pr.mode != "reflective":
@@ -347,27 +288,25 @@ def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
         base = warm_start_pr.phi
     else:
         base = np.eye(spec.num_elements, dtype=complex)
-    warm = _state_from_matrix(base, obj.h, spec)
+    warm = base @ obj.h
+    h_norms = np.linalg.norm(obj.h.reshape(-1, bs), axis=1)
 
     e_warm = obj.eff(warm)
     weights = obj.rate_weights(np.abs(e_warm) ** 2)
 
-    candidates = [warm] + [_aligned_start(g_u, ch.h_sat_ris, spec) for g_u in ch.g_ris_user]
-    if spec.block_size == 1 and spec.num_elements <= 3:
+    candidates = [warm] + [_exposed(g_u, h_norms, obj.h, bs) for g_u in obj.g]
+    if bs == 1 and spec.num_elements <= 3:
         candidates.append(_coarse_grid_start(obj, spec.num_elements))
 
-    best_state, best_rate = warm, obj.sum_rate(e_warm)
+    best_v, best_rate = warm, obj.sum_rate(e_warm)
     for cand in candidates:
         raw_rate = obj.sum_rate(obj.eff(cand))
         if raw_rate > best_rate:
-            best_state, best_rate = cand, raw_rate
-        state, rate = _ascend(cand, obj, weights)
+            best_v, best_rate = cand, raw_rate
+        v, rate = _ascend(cand, obj, weights, h_norms, bs)
         if rate > best_rate:
-            best_state, best_rate = state, rate
-    if best_state.diag:
-        return PhaseResponse.reflective(np.diag(best_state.value))
-    return PhaseResponse.reflective(
-        _surface_with_image(base, warm.value, best_state.value, spec.block_size))
+            best_v, best_rate = v, rate
+    return PhaseResponse.reflective(_surface_with_image(base, warm, best_v, bs))
 
 
 def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,

@@ -155,6 +155,14 @@ class TestSolveOne:
         assert f"'{assignment.split('=')[0]}'" in err and "linear value" in err
 
 
+    @pytest.mark.parametrize("gain_dbi", ["2000", "1500", "-2000", "-900"])
+    def test_link_gain_past_the_float_range_exit_2(self, capsys, gain_dbi):
+        code, out, err = run(capsys, *self.ARGS, "--set", f"tx_gain_dbi={gain_dbi}",
+                             "--set", f"rx_gain_dbi={gain_dbi}", "solve-one")
+        assert code == 2 and out == ""
+        assert "'tx_gain_dbi'" in err and "path gain" in err
+
+
 class TestSweepCommands:
     def test_power_sweep_writes_files(self, tmp_path, capsys):
         code, out, _ = run(capsys, "--set", "num_elements=4", "--set", "trials=2",

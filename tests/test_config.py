@@ -109,6 +109,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             apply_overrides(SimConfig(), [f"{key}={value}"])
 
+    @pytest.mark.parametrize("gain_dbi", ["2000", "1500", "-2000", "-900"])
+    def test_link_gains_past_the_float_range_are_rejected(self, tmp_path, gain_dbi):
+        # each dB value is representable, but the path gain G_t G_r (lambda/4 pi)^2
+        # d^-eta, or the cascade through the surface, overflows or underflows
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"tx_gain_dbi = {gain_dbi}\nrx_gain_dbi = {gain_dbi}\n")
+        message = r"'tx_gain_dbi', 'rx_gain_dbi'.* path gain is (inf|0), it must be finite"
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(SimConfig(), [f"tx_gain_dbi={gain_dbi}", f"rx_gain_dbi={gain_dbi}"])
+
     def test_large_but_representable_db_values_pass(self):
         cfg = apply_overrides(SimConfig(), ["power_dbm=300", "noise_dbm=-300",
                                             "tx_gain_dbi=3000", "rx_gain_dbi=-3000"])
