@@ -14,7 +14,7 @@ from .experiments import (SweepResult, SweepSpec, emit_csv, emit_plot_script,
 from .noma import (NomaAllocation, RateResult, achievable_rates,
                    min_power_split_for_far_rate, order_users)
 from .optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
-                        SCHEMES, Solution, bcd_solve, brute_force_oracle,
+                        SCHEMES, Solution, bcd_solve, exact_oracle,
                         solve_phase_subproblem, solve_power_subproblem)
 from .surfaces import (ARCHITECTURES, DimensionError, FeasibilityReport, MODES,
                        PhaseResponse, RisSpec, hardware_complexity,
@@ -29,8 +29,8 @@ __all__ = [
     "LinkBudgetParams", "NomaAllocation", "PhaseResponse", "ProblemSpec",
     "RateResult", "RisSpec", "SimConfig", "Solution", "SweepResult",
     "SweepSpec", "achievable_rates", "apply_overrides", "bcd_solve",
-    "brute_force_oracle", "db_to_linear", "draw_realization", "echo_config",
-    "effective_channel", "emit_csv", "emit_plot_script",
+    "db_to_linear", "draw_realization", "echo_config",
+    "effective_channel", "emit_csv", "emit_plot_script", "exact_oracle",
     "hardware_complexity", "load_config", "min_power_split_for_far_rate",
     "order_users", "path_gain", "project_feasible", "random_feasible",
     "rician_sample", "run_element_sweep", "run_power_sweep", "slant_range",

@@ -22,19 +22,11 @@ from .channel import draw_realization
 from .config import (ConfigError, SimConfig, apply_overrides, bcd_settings_from,
                      echo_config, geometry_from, link_budget_from, load_config,
                      ris_spec_from)
-from .experiments import (SweepSpec, emit_csv, emit_plot_script,
+from .experiments import (SweepSpec, emit_csv, emit_plot_script, oracle_suite,
                           run_element_sweep, run_power_sweep, solve_pair)
-from .noma import NomaAllocation
-from .optimizer import (InfeasibleAllocationError, ProblemSpec, bcd_solve,
-                        brute_force_oracle, solve_phase_subproblem)
+from .optimizer import InfeasibleAllocationError, ProblemSpec
 from .surfaces import (DimensionError, PhaseResponse, RisSpec,
                        hardware_complexity, validate)
-
-ORACLE_TWO_USER_INSTANCES = 50
-ORACLE_SINGLE_USER_INSTANCES = 50
-ORACLE_TWO_USER_MIN_RATIO = 0.98
-ORACLE_SINGLE_USER_MIN_RATIO = 0.99
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -59,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="process count for sweep points (default 1)")
 
-    sub.add_parser("oracle-check", help="run the small-instance brute-force agreement suite")
+    sub.add_parser("oracle-check", help="check the solver against exact optima and bounds")
     return parser
 
 
@@ -177,49 +169,13 @@ def _cmd_sweep(cfg: SimConfig, kind: str, workers: int) -> int:
 
 
 def _cmd_oracle_check(cfg: SimConfig) -> int:
-    """Solver-vs-oracle agreement on instances small enough to enumerate."""
+    """Solver quality against exact references: experiments.oracle_suite."""
     _require_reflective(cfg)
-    geometry = geometry_from(cfg)
-    link_budget = link_budget_from(cfg)
-    settings = bcd_settings_from(cfg)
-    ok = True
-
-    # two-user K=2 diagonal instances against the phase/split grid
-    worst = np.inf
-    spec2 = RisSpec(2, "single", "reflective")
-    problem2 = ProblemSpec(spec2, cfg.power_dbm, 0.0, 0.0, "BD_RIS")
-    for i in range(ORACLE_TWO_USER_INSTANCES):
-        rng = np.random.default_rng([cfg.base_seed, 101, i])
-        ch = draw_realization(geometry, link_budget, 2, num_users=2,
-                              include_direct=(i % 2 == 1), rng=rng)
-        solved = bcd_solve(ch, problem2, settings)
-        reference = brute_force_oracle(ch, problem2, grid=64)
-        worst = min(worst, solved.rates.sum_rate / reference.rates.sum_rate)
-    passed = worst >= ORACLE_TWO_USER_MIN_RATIO
-    ok &= passed
-    print(f"two-user K=2 grid agreement: worst ratio {worst:.6f} "
-          f"(threshold {ORACLE_TWO_USER_MIN_RATIO}) {'PASS' if passed else 'FAIL'}")
-
-    # single-user fully-connected instances against the analytic gain bound
-    worst = np.inf
-    k = 8
-    spec_full = RisSpec(k, "full", "reflective")
-    problem_full = ProblemSpec(spec_full, cfg.power_dbm, 0.0, 0.0, "BD_RIS")
-    alloc = NomaAllocation(problem_full.power_mw, 0.0, 1.0)
-    for i in range(ORACLE_SINGLE_USER_INSTANCES):
-        rng = np.random.default_rng([cfg.base_seed, 202, i])
-        ch = draw_realization(geometry, link_budget, k, num_users=1,
-                              include_direct=(i % 2 == 1), rng=rng)
-        pr = solve_phase_subproblem(ch, alloc, problem_full)
-        gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (pr.phi @ ch.h_sat_ris))
-        bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
-                                       * np.linalg.norm(ch.h_sat_ris))
-        worst = min(worst, gain / bound)
-    passed = worst >= ORACLE_SINGLE_USER_MIN_RATIO
-    ok &= passed
-    print(f"single-user gain bound: worst ratio {worst:.6f} "
-          f"(threshold {ORACLE_SINGLE_USER_MIN_RATIO}) {'PASS' if passed else 'FAIL'}")
-    return 0 if ok else 1
+    arms = oracle_suite(geometry_from(cfg), link_budget_from(cfg), cfg.power_dbm,
+                        cfg.base_seed, bcd_settings_from(cfg))
+    for arm in arms:
+        print(arm)
+    return 0 if all(arm.passed for arm in arms) else 1
 
 
 def main(argv=None) -> int:
@@ -263,3 +219,7 @@ def main(argv=None) -> int:
 
 def main_entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

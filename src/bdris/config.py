@@ -105,11 +105,21 @@ def _linear_ok(value_db: float) -> bool:
     return math.isfinite(linear) and linear > 0
 
 
+# Fading scales the peak gain |g||h| squared by (|g|^2/K)(|h|^2/K), a product
+# of two unit-mean averages of K draws |x|^2; 1e6 covers both at 1e3, whose
+# probability is below e^-1000 even for Rayleigh fading.
+_FADING_HEADROOM = 1e6
+
+
 def _check_link_gains(cfg: SimConfig) -> None:
     """Each configured link's path gain, and the cascade through the surface
     to each user, must be finite and > 0 at the configured geometry: dB
-    values that pass one by one can still overflow or underflow together."""
+    values that pass one by one can still overflow or underflow together.
+    So must the peak SNR, p K^2 cascade / noise (p direct / noise for a
+    direct link), with _FADING_HEADROOM to spare: the rates take p gamma /
+    noise, and an overflow there reads as an infinite sum rate."""
     geom, lb = geometry_from(cfg), link_budget_from(cfg)
+    p, noise = db_to_linear(cfg.power_dbm), db_to_linear(cfg.noise_dbm)
 
     def gain(distance_km: float) -> float:
         try:
@@ -120,16 +130,25 @@ def _check_link_gains(cfg: SimConfig) -> None:
     d_sr = slant_range(geom)
     g_sr = gain(d_sr)
     gains = [("satellite-to-surface", g_sr)]
+    peaks = []
     for user, d_ru in zip(("near", "far"), geom.ris_user_km):
         g_ru = gain(d_ru)
         gains += [(f"surface-to-{user}-user", g_ru), (f"cascaded {user}-user", g_sr * g_ru)]
+        peaks.append((f"cascaded {user}-user", cfg.num_elements ** 2 * g_sr * g_ru))
         if cfg.include_direct:
             gains.append((f"direct {user}-user", gain(d_sr + d_ru)))
+            peaks.append((f"direct {user}-user", gains[-1][1]))
     for link, value in gains:
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"keys 'tx_gain_dbi', 'rx_gain_dbi', 'freq_ghz', "
                               f"'path_loss_exponent' and the distances: the {link} path "
                               f"gain is {value:g}, it must be finite and > 0")
+    for link, peak in peaks:
+        snr = p * peak / noise
+        if not math.isfinite(max(peak, p * peak, snr) * _FADING_HEADROOM):
+            raise ConfigError(f"keys 'power_dbm', 'noise_dbm', 'num_elements' and the link "
+                              f"gains: the peak {link} SNR is {snr:g}, past the float "
+                              f"range with fading headroom {_FADING_HEADROOM:g}")
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:

@@ -19,8 +19,9 @@ import numpy as np
 
 from .channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                       draw_realization)
+from .noma import NomaAllocation
 from .optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
-                        SCHEMES, bcd_solve)
+                        SCHEMES, bcd_solve, exact_oracle, solve_phase_subproblem)
 from .surfaces import RisSpec
 
 DETAIL_HEADER = "power_dbm,num_elements,scheme,trial,rate_near,rate_far,sum_rate,outage"
@@ -83,6 +84,66 @@ def solve_pair(ch: ChannelRealization, problem: ProblemSpec,
     cd = attempt("CD_RIS", None)
     bd = attempt("BD_RIS", None if isinstance(cd, InfeasibleAllocationError) else cd.phase)
     return {"CD_RIS": cd, "BD_RIS": bd}
+
+
+@dataclass(frozen=True)
+class OracleArm:
+    """One arm of oracle_suite: the solver's sum rate (or gain) over the
+    exact reference on each draw. All must lie in [low, high]: the solver
+    within 1e-8 of the optimum, and no reference beaten past rounding."""
+    name: str
+    ratios: tuple
+    low: float = 1.0 - 1e-8
+    high: float = 1.0 + 1e-10
+
+    @property
+    def passed(self) -> bool:
+        return all(self.low <= r <= self.high for r in self.ratios)
+
+    def __str__(self) -> str:
+        return (f"{self.name}: {len(self.ratios)} draws, solver/reference - 1 in "
+                f"[{min(self.ratios) - 1.0:.3e}, {max(self.ratios) - 1.0:.3e}], band "
+                f"[{self.low - 1.0:.0e}, {self.high - 1.0:.0e}] "
+                f"{'PASS' if self.passed else 'FAIL'}")
+
+
+def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_dbm: float,
+                 base_seed: int, settings: BcdSettings = BcdSettings()) -> tuple:
+    """Solver quality against exact references, one OracleArm per arm: 50
+    K=2 diagonal bcd_solve draws and 8 K=80 solve_pair draws (the CD, the
+    fully connected and the G=16 solutions) against exact_oracle, and 50
+    single-user K=8 fully connected phase solves against the coherent gain
+    bound |h_d| + |g| |h|. Odd draws have direct links; draw i comes from
+    default_rng([base_seed, key, i]) with key 301, 303 and 302 per part."""
+    def draw(k, users, key, i):
+        return draw_realization(geometry, link_budget, k, num_users=users,
+                                include_direct=(i % 2 == 1),
+                                rng=np.random.default_rng([base_seed, key, i]))
+
+    def ratio(solution, ch, problem):
+        return solution.rates.sum_rate / exact_oracle(ch, problem).rates.sum_rate
+
+    diag2 = ProblemSpec(RisSpec(2, "single"), power_dbm)
+    arms = {"K=2 diagonal": [ratio(bcd_solve(ch, diag2, settings), ch, diag2)
+                             for ch in (draw(2, 2, 301, i) for i in range(50))],
+            "K=80 CD": [], "K=80 full": [], "K=80 G=16": [], "single-user gain bound": []}
+    for i in range(8):
+        ch = draw(80, 2, 303, i)
+        for name, spec in (("full", RisSpec(80, "full")),
+                           ("G=16", RisSpec(80, "group", group_count=16))):
+            pair = solve_pair(ch, ProblemSpec(spec, power_dbm), settings)
+            arms[f"K=80 {name}"].append(ratio(pair["BD_RIS"], ch, ProblemSpec(spec, power_dbm)))
+        # the CD solve of a pair does not depend on the BD surface
+        arms["K=80 CD"].append(ratio(pair["CD_RIS"], ch, ProblemSpec(RisSpec(80, "single"),
+                                                                     power_dbm)))
+    full8 = ProblemSpec(RisSpec(8, "full"), power_dbm)
+    for ch in (draw(8, 1, 302, i) for i in range(50)):
+        phi = solve_phase_subproblem(ch, NomaAllocation(full8.power_mw, 0.0, 1.0), full8).phi
+        gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (phi @ ch.h_sat_ris))
+        bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
+                                       * np.linalg.norm(ch.h_sat_ris))
+        arms["single-user gain bound"].append(gain / bound)
+    return tuple(OracleArm(name, tuple(map(float, ratios))) for name, ratios in arms.items())
 
 
 def _solve_trial(spec: SweepSpec, ris: RisSpec, power_dbm: float,

@@ -96,20 +96,21 @@ def achievable_rates(alloc: NomaAllocation, h_strong: complex, h_weak: complex,
 
 
 def min_power_split_for_far_rate(r_min_far: float, total_power_mw: float,
-                                 gamma_weak: float, noise_mw: float) -> float:
+                                 gamma_weak, noise_mw: float):
     """Smallest alpha_far achieving rate_far >= r_min_far under full power.
 
         alpha_far* = (2^r - 1)(p g_w + noise) / (p g_w 2^r)
 
     Returns the closed-form value even when it exceeds 1 (the caller checks
     feasibility); an unreachable weak user (g_w = 0 with r > 0) returns inf.
+    gamma_weak broadcasts: an array of gains gives an array of splits.
     """
     if total_power_mw <= 0:
         raise ValueError("total_power_mw must be positive")
     if r_min_far <= 0:
-        return 0.0
-    pg = total_power_mw * gamma_weak
-    if pg <= 0:
-        return float("inf")
+        return np.zeros(np.shape(gamma_weak))[()]
+    pg = total_power_mw * np.asarray(gamma_weak, dtype=float)
     growth = 2.0 ** r_min_far
-    return (growth - 1.0) * (pg + noise_mw) / (pg * growth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        split = (growth - 1.0) * (pg + noise_mw) / (pg * growth)
+    return np.where(pg > 0.0, split, np.inf)[()]

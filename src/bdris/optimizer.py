@@ -25,6 +25,19 @@ exposed-point phase update:
   raise f. Phi is built once per phase solve, by a block unitary that maps
   the warm-start image to the final one.
 
+The exact oracle (exact_oracle) needs no alternation. The reachable effective
+channels are y = h_d + (g_1^H v, g_2^H v) over images with |v_b| = |h_b|, so
+their convex hull is h_d plus the Minkowski sum of the ellipsoids M_b B(|h_b|),
+M_b the 2 x bs matrix with rows g_u,b^H. After the closed-form split the sum
+rate never falls as either |y_u| grows, so its maximum over the hull lies on
+the boundary, where every point is a support point: for some unit u in C^2 it
+is y*(u) = h_d + sum_b |h_b| M_b M_b^H u/|M_b^H u|, the channels of the
+feasible image v_b = |h_b| q_b/|q_b|, q = u_1 g_1 + u_2 g_2 (the exposed
+point). The best y*(u) over u is therefore the global optimum, for every block
+size (Nerini, Shen & Clerckx, IEEE TWC 2024, give the fully connected closed
+form). Only a rank-deficient block (bs = 1) can have M_b^H u = 0, which makes
+the support set a face; y*(u) at nearby u reaches its reachable points.
+
 The conventional-surface baseline (CD_RIS) is the same solver restricted to
 the single-connected diagonal set. bcd_solve starts from the phases it is
 given, or from the identity; warm-starting the beyond-diagonal run from the
@@ -36,6 +49,7 @@ returns a worse point than its warm start.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +65,6 @@ SCHEMES = ("BD_RIS", "CD_RIS")
 
 _IMPROVE_MARGIN = 1e-12
 _PHASE_INNER_ITERS = 100
-
-_ORACLE_MAX_CANDIDATES = 2_000_000
-_ORACLE_ALPHA_STEP = 1e-3
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -141,19 +152,21 @@ def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
     It is the image of the projection of q h^H onto the feasible set, and so
     the limit of every projected gradient step as the step size grows (for
     bs = 1, v_k = |h_k| e^{j arg q_k}). A block with q_b = 0 keeps its
-    fallback image.
+    fallback image. Leading axes of q are independent directions; they share
+    one rescaling when their scale is out of range.
     """
-    qb = q.reshape(-1, bs)
-    qn = np.linalg.norm(qb, axis=1)
+    qb = q.reshape(q.shape[:-1] + (-1, bs))
+    qn = np.linalg.norm(qb, axis=-1)
     if not 1e-150 < qn.max() < 1e150 and np.any(qb):
         # only the directions count: rescale so that |q_b|^2 neither under-
         # nor overflows, part by part (complex division by a subnormal overflows)
         top = np.max(np.abs(qb))
         qb = qb.real / top + 1j * (qb.imag / top)
-        qn = np.linalg.norm(qb, axis=1)
+        qn = np.linalg.norm(qb, axis=-1)
     moved = qn > 0.0
     scale = np.divide(h_norms, qn, out=np.zeros_like(qn), where=moved)
-    return np.where(moved[:, None], qb * scale[:, None], fallback.reshape(-1, bs)).ravel()
+    return np.where(moved[..., None], qb * scale[..., None],
+                    fallback.reshape(-1, bs)).reshape(q.shape)
 
 
 def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
@@ -260,7 +273,9 @@ def _ascend(v: np.ndarray, obj: _Objective, weights: np.ndarray, h_norms: np.nda
 
 def _coarse_grid_start(obj: _Objective, k: int, points: int = 8) -> np.ndarray:
     """Image of the best point of a coarse per-element phase grid (diagonal, small K)."""
-    flat = _diag_candidates(k, points)
+    phases = np.exp(2j * np.pi * np.arange(points) / points)
+    flat = np.stack([g.ravel() for g in np.meshgrid(*([phases] * k), indexing="ij")],
+                    axis=1)                                      # (points^k, k)
     e = obj.hd[None, :] + flat @ (obj.gc * obj.h[None, :]).T
     rates = obj.sum_rate_of_gains(np.abs(e) ** 2)
     return flat[int(np.argmax(rates))] * obj.h
@@ -309,6 +324,17 @@ def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
     return PhaseResponse.reflective(_surface_with_image(base, warm, best_v, bs))
 
 
+def _split(problem: ProblemSpec, g_s, g_w, noise: float):
+    """The optimal full-power split alpha_far = max(0.5, alpha_far*) and its
+    (rate_near, rate_far), per pair of strong and weak gains (all broadcast).
+    alpha_far is nan where no split meets both minimum rates."""
+    a_star = min_power_split_for_far_rate(problem.min_rate_far, problem.power_mw, g_w, noise)
+    alpha_far = np.minimum(np.maximum(0.5, a_star), 1.0)
+    r_n, r_f = sic_rates(problem.power_mw, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
+    feasible = (a_star <= 1.0 + 1e-12) & (r_n >= problem.min_rate_near - 1e-12)
+    return np.where(feasible, alpha_far, np.nan), r_n, r_f
+
+
 def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
                            problem: ProblemSpec) -> NomaAllocation:
     """Optimal full-power split for fixed phases.
@@ -324,22 +350,14 @@ def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
         raise ValueError("the power subproblem is defined for exactly 2 users")
     h_effs = [effective_channel(ch, pr, u) for u in range(2)]
     strong, weak = order_users(h_effs)
-    gamma_w = abs(h_effs[weak]) ** 2
-    p = problem.power_mw
-    a_star = min_power_split_for_far_rate(problem.min_rate_far, p, gamma_w, ch.noise_mw)
-    alpha_far = max(0.5, a_star)
-    if alpha_far > 1.0 + 1e-12:
+    alpha_far, _, _ = _split(problem, abs(h_effs[strong]) ** 2, abs(h_effs[weak]) ** 2,
+                             ch.noise_mw)
+    if np.isnan(alpha_far):
         raise InfeasibleAllocationError(
-            f"far user needs alpha_far = {a_star:.6g} > 1 for rate {problem.min_rate_far}"
-        )
-    alpha_far = min(alpha_far, 1.0)
-    alloc = NomaAllocation(p, 1.0 - alpha_far, alpha_far)
-    rates = achievable_rates(alloc, h_effs[strong], h_effs[weak], ch.noise_mw, (strong, weak))
-    if rates.rate_near < problem.min_rate_near - 1e-12:
-        raise InfeasibleAllocationError(
-            f"near user rate {rates.rate_near:.6g} < minimum {problem.min_rate_near}"
-        )
-    return alloc
+            f"no full-power split meets the minimum rates (near {problem.min_rate_near}, "
+            f"far {problem.min_rate_far})")
+    alpha_far = float(alpha_far)
+    return NomaAllocation(problem.power_mw, 1.0 - alpha_far, alpha_far)
 
 
 def _evaluate(ch: ChannelRealization, pr: PhaseResponse, alloc: NomaAllocation) -> RateResult:
@@ -380,91 +398,129 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec, settings: BcdSetting
     return Solution(alloc, pr, rates, tuple(trace), converged)
 
 
+
+
 # ---------------------------------------------------------------------------
-# brute-force oracle for tiny instances
+# exact oracle: a search over the exposed points of the reachable channels
 # ---------------------------------------------------------------------------
 
-
-def _diag_candidates(k: int, resolution: int) -> np.ndarray:
-    phases = np.exp(2j * np.pi * np.arange(resolution) / resolution)
-    grids = np.meshgrid(*([phases] * k), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)          # (res^k, k)
-
-
-def _unitary2_candidates(resolution: int) -> np.ndarray:
-    """U(2) sampled through the 4-angle form
-    e^{ja} [[cos t e^{jp}, sin t e^{jc}], [-sin t e^{-jc}, cos t e^{-jp}]];
-    all angle grids nest under doubling, so refinement never loses points."""
-    circle = 2.0 * np.pi * np.arange(resolution) / resolution
-    quarter = (np.pi / 2.0) * np.arange(resolution) / resolution
-    a, t, p, c = np.meshgrid(circle, quarter, circle, circle, indexing="ij")
-    a, t, p, c = (x.ravel() for x in (a, t, p, c))
-    mats = np.empty((a.size, 2, 2), dtype=complex)
-    mats[:, 0, 0] = np.cos(t) * np.exp(1j * p)
-    mats[:, 0, 1] = np.sin(t) * np.exp(1j * c)
-    mats[:, 1, 0] = -np.sin(t) * np.exp(-1j * c)
-    mats[:, 1, 1] = np.cos(t) * np.exp(-1j * p)
-    return mats * np.exp(1j * a)[:, None, None]
+_DIRECTION_POINTS = (33, 64, 16)   # coarse points in t, p and (with direct links) a
+_SEARCH_STARTS = 4                 # best coarse local maxima refined
+_SEARCH_MIN_STEP = 2.0 ** -20      # in units of the coarse spacing
+_SEARCH_MAX_ITERS = 60
 
 
-def brute_force_oracle(ch: ChannelRealization, problem: ProblemSpec,
-                       grid: int = 64) -> Solution:
-    """Exhaustive reference optimum for tiny instances.
+def _pattern_search(score, n: int, spacing: np.ndarray):
+    """Maximize score, which maps points (n, m, d) to values (n, m), from n
+    starts at x = 0. Each step scores the stencil x + step * spacing * z,
+    z in {-1, 0, 1}^d, and the maximizer of the quadratic fitted to it along
+    its concave directions (at most two steps away), which follows the
+    narrow valleys that stall the stencil alone. The best point beating x by more
+    than rounding is the next x, and sets the step to twice its distance
+    if it is the fitted one (within [1/16, 1] of the old step); with no such
+    point the step quarters. Returns the final points and scores."""
+    d = len(spacing)
+    z = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    fit = np.linalg.pinv(np.column_stack([np.ones(len(z)), z]
+                                         + [z[:, i] * z[:, j] for i, j in pairs]))
+    rows = np.arange(n)
+    x = np.zeros((n, d))
+    f = score(x[:, None, :])[:, 0]
+    step = np.ones(n)
+    for _ in range(_SEARCH_MAX_ITERS):
+        active = step >= _SEARCH_MIN_STEP
+        if not active.any():
+            break
+        scale = step[:, None] * spacing
+        cand = x[:, None, :] + scale[:, None, :] * z
+        f_cand = score(cand)
+        coef = np.where(np.isfinite(f_cand), f_cand, 0.0) @ fit.T    # used where all finite
+        hess = np.empty((n, d, d))
+        for col, (i, j) in enumerate(pairs, start=1 + d):
+            hess[:, i, j] = hess[:, j, i] = coef[:, col] * (2.0 if i == j else 1.0)
+        # Newton step within the model's concave directions only: the others
+        # are flat (a direction map with a redundant coordinate) or convex
+        lam, vec = np.linalg.eigh(hess)
+        concave = lam < -1e-6 * np.max(np.abs(lam), axis=1, keepdims=True)
+        along = np.einsum("nij,ni->nj", vec, coef[:, 1:1 + d])
+        newton = np.where(concave, along / np.where(concave, -lam, 1.0), 0.0)
+        shift = np.einsum("nij,nj->ni", vec, newton)
+        shift = np.where(np.all(np.isfinite(f_cand), axis=1)[:, None],
+                         np.clip(shift, -2.0, 2.0), 0.0)
+        cand = np.concatenate([cand, (x + scale * shift)[:, None, :]], axis=1)
+        f_cand = np.concatenate([f_cand, score(cand[:, -1:, :])], axis=1)
+        f_cand = np.where(np.isnan(f_cand), -np.inf, f_cand)
+        best = np.argmax(f_cand, axis=1)
+        better = active & (f_cand[rows, best] > f + 1e-15 * np.abs(f))
+        x = np.where(better[:, None], cand[rows, best], x)
+        f = np.where(better, f_cand[rows, best], f)
+        fitted = np.clip(2.0 * np.max(np.abs(shift), axis=1), 1.0 / 16.0, 1.0)
+        step *= np.where(~active | better & (best < len(z)), 1.0,
+                         np.where(better, fitted, 0.25))
+    return x, f
 
-    Diagonal feasible sets grid each phase at `grid` points (K <= 3);
-    fully-connected K = 2 samples U(2) through its 4-angle parameterization
-    at `grid` points per angle. alpha_far is gridded at 1e-3 over [0.5, 1]
-    (full power and alpha_far >= alpha_near are optimal, see the power
-    subproblem). Raises InfeasibleAllocationError when no combination meets
-    the minimum rates, and ValueError for sizes past the caps.
+
+def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
+    """Global sum-rate optimum for any K and every block size: the best
+    closed-form-split sum rate at the exposed point y*(u) over unit u =
+    e^{ja}(cos t, e^{jp} sin t) in C^2 (the module docstring says why this is
+    exact); a split that misses a minimum rate scores -inf. The best few
+    local maxima of a coarse grid, in a only with direct links (y*(u) turns
+    with u's phase, so each a costs O(1) there), are refined by
+    _pattern_search in a chart centred on each, u = e^{ja}(u_0 + xi u_0^perp)
+    / sqrt(1 + |xi|^2), regular where (t, p) is not. Phi is built once and
+    its rates come from the power step. Raises InfeasibleAllocationError
+    when no direction meets the minimum rates.
     """
     if ch.num_users != 2:
-        raise ValueError("brute_force_oracle expects exactly 2 users")
+        raise ValueError("exact_oracle expects exactly 2 users")
     spec = problem.effective_spec
-    k = spec.num_elements
-    diag = spec.block_size == 1
-    if diag:
-        if k > 3:
-            raise ValueError("diagonal grids are capped at K <= 3")
-        if grid ** k > _ORACLE_MAX_CANDIDATES:
-            raise ValueError("grid resolution too large for the candidate cap")
-        flat = _diag_candidates(k, grid)
-        e = ch.h_direct[None, :] + flat @ (ch.g_ris_user.conj() * ch.h_sat_ris[None, :]).T
-    elif spec.block_size == spec.matrix_dim:
-        if k != 2:
-            raise ValueError("unitary sampling is defined for K = 2 only")
-        if grid ** 4 > _ORACLE_MAX_CANDIDATES:
-            raise ValueError("grid resolution too large for the candidate cap")
-        mats = _unitary2_candidates(grid)
-        v = mats @ ch.h_sat_ris
-        e = ch.h_direct[None, :] + v @ ch.g_ris_user.conj().T
-    else:
-        raise ValueError("oracle supports diagonal and fully-connected sets only")
+    bs = spec.block_size
+    h_norms = np.linalg.norm(ch.h_sat_ris.reshape(-1, bs), axis=1)
+    gc_t = ch.g_ris_user.conj().T
 
-    gains = np.abs(e) ** 2
-    g_s = np.max(gains, axis=1)
-    g_w = np.min(gains, axis=1)
-    p = problem.power_mw
-    steps = int(round(0.5 / _ORACLE_ALPHA_STEP))
-    alpha_grid = (steps + np.arange(steps + 1)) / (2 * steps)    # exactly {0.500 .. 1.000}
+    def image(u):
+        return _exposed(u @ ch.g_ris_user, h_norms, ch.h_sat_ris, bs)
 
-    best = (-np.inf, -1, 0.5)
-    for alpha_far in alpha_grid:
-        r_n, r_f = sic_rates(p, 1.0 - alpha_far, alpha_far, g_s, g_w, ch.noise_mw)
-        total = r_n + r_f
-        feasible = (r_n >= problem.min_rate_near - 1e-12) & (r_f >= problem.min_rate_far - 1e-12)
-        if not np.any(feasible):
-            continue
-        total = np.where(feasible, total, -np.inf)
-        idx = int(np.argmax(total))
-        if total[idx] > best[0]:
-            best = (float(total[idx]), idx, float(alpha_far))
-    if best[1] < 0:
-        raise InfeasibleAllocationError("no phase/split combination meets the minimum rates")
+    def rate(c):
+        gains = np.abs(ch.h_direct + c) ** 2
+        alpha_far, r_n, r_f = _split(problem, gains.max(axis=-1), gains.min(axis=-1),
+                                     ch.noise_mw)
+        return np.where(np.isnan(alpha_far), -np.inf, r_n + r_f)
 
-    _, idx, alpha_far = best
-    phi = np.diag(flat[idx]) if diag else mats[idx]
-    pr = PhaseResponse.reflective(phi)
-    alloc = NomaAllocation(p, 1.0 - alpha_far, alpha_far)
+    n_t, n_p, n_a = _DIRECTION_POINTS if np.any(ch.h_direct) else _DIRECTION_POINTS[:2] + (1,)
+    t, p, a = np.meshgrid((np.arange(n_t) + 0.5) * (np.pi / 2.0 / n_t),
+                          2.0 * np.pi * np.arange(n_p) / n_p,
+                          2.0 * np.pi * np.arange(n_a) / n_a, indexing="ij")
+    turn = np.exp(1j * a)[..., None]
+    dirs = np.stack([np.cos(t), np.exp(1j * p) * np.sin(t)], axis=-1)
+    scores = rate(turn * (image(dirs[:, :, :1]) @ gc_t))    # one O(K) map per (t, p)
+    dirs = turn * dirs
+    peaks = np.isfinite(scores)
+    for axis in range(3):
+        for shift in (1, -1):
+            near = np.roll(scores, shift, axis=axis)
+            if axis == 0:             # t does not wrap around
+                near[0 if shift == 1 else -1] = -np.inf
+            peaks &= scores >= near
+    flat = np.flatnonzero(peaks)
+    if flat.size == 0:
+        raise InfeasibleAllocationError("no surface direction meets the minimum rates")
+    starts = flat[np.argsort(-scores.ravel()[flat], kind="stable")][:_SEARCH_STARTS]
+    u0 = dirs.reshape(-1, 2)[starts, None, :]
+    perp = np.stack([-u0[..., 1].conj(), u0[..., 0].conj()], axis=-1)
+
+    def chart(x):
+        xi = (x[..., 0] + 1j * x[..., 1])[..., None]
+        phase = np.exp(1j * np.sum(x[..., 2:], axis=-1, keepdims=True))   # a, if searched
+        return (u0 + xi * perp) * phase / np.sqrt(1.0 + np.abs(xi) ** 2)
+
+    spacing = np.array([np.pi / 2.0 / n_t] * 2 + [2.0 * np.pi / n_a] * (n_a > 1))
+    x, f = _pattern_search(lambda x: rate(image(chart(x)) @ gc_t), len(u0), spacing)
+    v = image(chart(x[:, None, :])[int(np.argmax(f)), 0])
+    pr = PhaseResponse.reflective(
+        _surface_with_image(np.eye(spec.num_elements, dtype=complex), ch.h_sat_ris, v, bs))
+    alloc = solve_power_subproblem(ch, pr, problem)
     rates = _evaluate(ch, pr, alloc)
     return Solution(alloc, pr, rates, (rates.sum_rate,), True)

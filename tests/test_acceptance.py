@@ -14,11 +14,10 @@ import pytest
 
 from bdris.channel import (GeometryParams, LinkBudgetParams, draw_realization,
                            rician_sample, slant_range)
-from bdris.experiments import (SweepSpec, emit_csv, run_element_sweep, run_power_sweep,
-                               solve_pair)
-from bdris.noma import NomaAllocation, min_power_split_for_far_rate
-from bdris.optimizer import (BcdSettings, ProblemSpec, bcd_solve,
-                             brute_force_oracle, solve_phase_subproblem)
+from bdris.experiments import (SweepSpec, emit_csv, oracle_suite, run_element_sweep,
+                               run_power_sweep, solve_pair)
+from bdris.noma import min_power_split_for_far_rate
+from bdris.optimizer import BcdSettings, ProblemSpec
 from bdris.surfaces import (ARCHITECTURES, MODES, RisSpec, hardware_complexity,
                             project_feasible, random_feasible, validate)
 
@@ -138,44 +137,13 @@ def test_criterion_2_component_count_exactness():
 
 def test_criterion_3_oracle_agreement():
     started = time.monotonic()
-    settings = BcdSettings()
-
-    # two-user K=2 diagonal instances against the exhaustive phase/split grid
-    problem = ProblemSpec(RisSpec(2, "single", "reflective"), power_dbm=20.0)
-    worst_two_user = np.inf
-    for i in range(50):
-        rng = np.random.default_rng([BASE_SEED, 301, i])
-        ch = draw_realization(GEOMETRY, LINK_BUDGET, 2, num_users=2,
-                              include_direct=(i % 2 == 1), rng=rng)
-        solved = bcd_solve(ch, problem, settings)
-        reference = brute_force_oracle(ch, problem, grid=64)
-        worst_two_user = min(worst_two_user, solved.rates.sum_rate / reference.rates.sum_rate)
-
-    # single-user fully-connected instances against the coherent gain bound
-    k = 8
-    problem_full = ProblemSpec(RisSpec(k, "full", "reflective"), power_dbm=20.0)
-    alloc = NomaAllocation(problem_full.power_mw, 0.0, 1.0)
-    worst_single = np.inf
-    for i in range(50):
-        rng = np.random.default_rng([BASE_SEED, 302, i])
-        ch = draw_realization(GEOMETRY, LINK_BUDGET, k, num_users=1,
-                              include_direct=(i % 2 == 1), rng=rng)
-        pr = solve_phase_subproblem(ch, alloc, problem_full)
-        gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (pr.phi @ ch.h_sat_ris))
-        bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
-                                       * np.linalg.norm(ch.h_sat_ris))
-        assert gain <= bound * (1 + 1e-9)
-        worst_single = min(worst_single, gain / bound)
-
+    arms = oracle_suite(GEOMETRY, LINK_BUDGET, 20.0, BASE_SEED, BcdSettings())
     elapsed = time.monotonic() - started
-    ok = (0.98 <= worst_two_user and worst_two_user <= 1.02
-          and worst_single >= 0.99 and elapsed < 120.0)
+    ok = all(arm.passed for arm in arms) and elapsed < 120.0
     assert report(
         3, "oracle agreement",
         ok,
-        f"50 two-user K=2 instances worst sum-rate ratio {worst_two_user:.6f} "
-        f"(within 2% of grid oracle), 50 single-user instances worst gain ratio "
-        f"{worst_single:.6f} (within 1% of coherent bound), {elapsed:.1f} s (limit 120 s)")
+        "; ".join(str(arm) for arm in arms) + f"; {elapsed:.1f} s (limit 120 s)")
 
 
 def test_criterion_4_dominance():

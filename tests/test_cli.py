@@ -1,8 +1,13 @@
 """Command-line behavior: subcommands, exit codes, and determinism."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bdris
 from bdris.cli import main
 from bdris.surfaces import RisSpec, random_feasible
 
@@ -162,6 +167,13 @@ class TestSolveOne:
         assert code == 2 and out == ""
         assert "'tx_gain_dbi'" in err and "path gain" in err
 
+    def test_peak_snr_past_the_float_range_exit_2(self, capsys):
+        # every path gain and cascade is finite, but p K^2 cascade / noise is not
+        code, out, err = run(capsys, "--set", "tx_gain_dbi=740", "--set", "rx_gain_dbi=740",
+                             "--set", "noise_dbm=-400", "--set", "num_elements=8", "solve-one")
+        assert code == 2 and out == ""
+        assert "'noise_dbm'" in err and "peak cascaded near-user SNR" in err
+
 
 class TestSweepCommands:
     def test_power_sweep_writes_files(self, tmp_path, capsys):
@@ -211,6 +223,19 @@ class TestSweepCommands:
 
 class TestOracleCheck:
     def test_passes_on_defaults(self, capsys):
+        # one line per oracle_suite arm: K=2 diagonal, K=80 CD, full and G=16,
+        # and the single-user gain bound
         code, out, _ = run(capsys, "--set", "base_seed=4242", "oracle-check")
         assert code == 0
-        assert out.count("PASS") == 2 and "FAIL" not in out
+        assert out.count("PASS") == 5 and "FAIL" not in out
+        assert len(out.splitlines()) == 5
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bdris.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "bdris.cli", "complexity"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0 and done.stdout.strip() == "3240"

@@ -121,10 +121,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             apply_overrides(SimConfig(), [f"tx_gain_dbi={gain_dbi}", f"rx_gain_dbi={gain_dbi}"])
 
+    @pytest.mark.parametrize("assignments,link", [
+        (["tx_gain_dbi=740", "rx_gain_dbi=740", "noise_dbm=-400", "num_elements=8"],
+         "cascaded near-user"),
+        (["power_dbm=300", "noise_dbm=-2950", "num_elements=1", "include_direct=true"],
+         "direct near-user"),
+    ])
+    def test_peak_snr_past_the_float_range_is_rejected(self, tmp_path, assignments, link):
+        # every path gain and cascade is finite, but the rates' p gamma / noise
+        # overflows at the peak gain: K^2 times the cascade, or the direct link
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(a.replace("=", " = ") for a in assignments) + "\n")
+        message = f"'noise_dbm'.* the peak {link} SNR is .*past the float range"
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(SimConfig(), assignments)
+
     def test_large_but_representable_db_values_pass(self):
         cfg = apply_overrides(SimConfig(), ["power_dbm=300", "noise_dbm=-300",
                                             "tx_gain_dbi=3000", "rx_gain_dbi=-3000"])
         assert cfg.power_dbm == 300.0 and cfg.rx_gain_dbi == -3000.0
+        # the direct-link case above without direct links: the cascade's SNR fits
+        cfg = apply_overrides(SimConfig(), ["power_dbm=300", "noise_dbm=-2950",
+                                            "num_elements=1"])
+        assert cfg.noise_dbm == -2950.0
 
     def test_validate_config_passes_defaults(self):
         assert validate_config(SimConfig()) == SimConfig()

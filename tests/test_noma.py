@@ -133,6 +133,14 @@ class TestMinPowerSplit:
     def test_zero_gain_with_positive_rate_is_impossible(self):
         assert min_power_split_for_far_rate(1.0, 10.0, 0.0, 1.0) == np.inf
 
+    def test_broadcasts_over_gains(self):
+        gains = np.array([[0.5, 0.0], [3.0, 1e-9]])
+        for r_min in (0.0, 1.0):
+            splits = min_power_split_for_far_rate(r_min, 10.0, gains, 1.0)
+            assert splits.shape == gains.shape
+            assert [min_power_split_for_far_rate(r_min, 10.0, g, 1.0)
+                    for g in gains.ravel()] == splits.ravel().tolist()
+
     def test_monotone_in_required_rate(self):
         splits = [min_power_split_for_far_rate(r, 10.0, 0.5, 1.0)
                   for r in (0.1, 0.5, 1.0, 2.0)]

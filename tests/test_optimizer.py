@@ -1,5 +1,5 @@
-"""Power split, phase ascent, the alternating solver, and the brute-force
-oracle on instances small enough to enumerate."""
+"""Power split, phase ascent, the alternating solver, and the exact
+direction-search oracle."""
 
 import dataclasses
 
@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from bdris import optimizer
 from bdris.channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                            draw_realization, effective_channel)
-from bdris.noma import NomaAllocation, achievable_rates, order_users
+from bdris.noma import NomaAllocation, achievable_rates, order_users, sic_rates
 from bdris.optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
-                             Solution, bcd_solve, brute_force_oracle,
+                             Solution, bcd_solve, exact_oracle,
                              solve_phase_subproblem, solve_power_subproblem,
                              _align_global_phase, _ascend, _exposed, _Objective,
                              _surface_with_image)
@@ -186,6 +186,16 @@ class TestExposedPoint:
                                rtol=1e-12, atol=0.0)
             assert np.array_equal(_exposed(np.zeros(k), block_norms(h, bs), fallback, bs),
                                   fallback)
+
+    def test_leading_axes_are_independent_directions(self):
+        rng = np.random.default_rng(13)
+        for spec in block_specs():
+            k, bs = spec.num_elements, spec.block_size
+            q, h = cn(rng, 3 * 2 * k).reshape(3, 2, k), cn(rng, k)
+            q[1, 0, :bs] = 0.0
+            batch = _exposed(q, block_norms(h, bs), h, bs)
+            for i, j in np.ndindex(3, 2):
+                assert np.array_equal(batch[i, j], _exposed(q[i, j], block_norms(h, bs), h, bs))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_scale_of_the_gradient_does_not_matter(self):
@@ -443,53 +453,47 @@ class TestBcdSolve:
             bcd_solve(ch, ProblemSpec(RisSpec(4), 10.0), BcdSettings())
 
 
-class TestBruteForceOracle:
+def sum_rate_at(ch, pr, alloc):
+    h_effs = [effective_channel(ch, pr, u) for u in range(2)]
+    s, w = order_users(h_effs)
+    return achievable_rates(alloc, h_effs[s], h_effs[w], ch.noise_mw)
+
+
+class TestExactOracle:
     def test_solver_matches_oracle_on_diagonal_k2(self):
         problem = ProblemSpec(RisSpec(2, "single"), power_dbm=10.0)
         for seed in range(6):
             ch = unit_channel(2, seed=seed, direct_scale=(0.0 if seed % 2 else 1.0))
             solved = bcd_solve(ch, problem, BcdSettings())
-            reference = brute_force_oracle(ch, problem, grid=48)
+            reference = exact_oracle(ch, problem)
             assert solved.rates.sum_rate >= 0.98 * reference.rates.sum_rate
 
     def test_oracle_respects_minimum_rates(self):
         ch = unit_channel(2, seed=1)
         problem = ProblemSpec(RisSpec(2, "single"), 10.0, min_rate_far=0.5)
-        solution = brute_force_oracle(ch, problem, grid=24)
+        solution = exact_oracle(ch, problem)
         assert solution.rates.rate_far >= 0.5 - 1e-9
 
     def test_oracle_infeasible_raises(self):
         ch = unit_channel(2, seed=1)
         problem = ProblemSpec(RisSpec(2, "single"), 10.0, min_rate_far=80.0)
         with pytest.raises(InfeasibleAllocationError):
-            brute_force_oracle(ch, problem, grid=8)
-
-    def test_grid_refinement_is_monotone(self):
-        ch = unit_channel(2, seed=3, direct_scale=0.4)
-        for arch in ("single", "full"):
-            problem = ProblemSpec(RisSpec(2, arch), 10.0)
-            values = [brute_force_oracle(ch, problem, grid=g).rates.sum_rate
-                      for g in (4, 8, 16)]
-            assert values[0] <= values[1] + 1e-12
-            assert values[1] <= values[2] + 1e-12
+            exact_oracle(ch, problem)
 
     def test_unitary_oracle_beats_diagonal_oracle(self):
         ch = unit_channel(2, seed=8)
-        diag = brute_force_oracle(ch, ProblemSpec(RisSpec(2, "single"), 10.0), grid=16)
-        full = brute_force_oracle(ch, ProblemSpec(RisSpec(2, "full"), 10.0), grid=16)
+        diag = exact_oracle(ch, ProblemSpec(RisSpec(2, "single"), 10.0))
+        full = exact_oracle(ch, ProblemSpec(RisSpec(2, "full"), 10.0))
         assert full.rates.sum_rate >= diag.rates.sum_rate - 1e-9
 
-    def test_size_caps(self):
-        with pytest.raises(ValueError):
-            brute_force_oracle(unit_channel(4), ProblemSpec(RisSpec(4, "single"), 10.0))
-        with pytest.raises(ValueError):
-            brute_force_oracle(unit_channel(3), ProblemSpec(RisSpec(3, "full"), 10.0))
-        with pytest.raises(ValueError):
-            brute_force_oracle(unit_channel(4),
-                               ProblemSpec(RisSpec(4, "group", group_count=2), 10.0))
-        with pytest.raises(ValueError):
-            brute_force_oracle(unit_channel(2), ProblemSpec(RisSpec(2, "full"), 10.0),
-                               grid=64)   # 64^4 candidates is past the cap
+    @pytest.mark.parametrize("spec", [RisSpec(80, "single"), RisSpec(80, "full"),
+                                      RisSpec(80, "group", group_count=16)])
+    def test_any_k_and_block_size(self, spec):
+        ch = draw_realization(GeometryParams(), LinkBudgetParams(), 80, num_users=2,
+                              include_direct=True, rng=np.random.default_rng(5))
+        solution = exact_oracle(ch, ProblemSpec(spec, 20.0))
+        assert validate(solution.phase, spec).is_feasible
+        assert solution.rates == sum_rate_at(ch, solution.phase, solution.allocation)
 
     def test_satellite_scale_agreement(self):
         geom, lb = GeometryParams(), LinkBudgetParams()
@@ -499,5 +503,73 @@ class TestBruteForceOracle:
             ch = draw_realization(geom, lb, 2, num_users=2,
                                   include_direct=bool(seed % 2), rng=rng)
             solved = bcd_solve(ch, problem, BcdSettings())
-            reference = brute_force_oracle(ch, problem, grid=48)
+            reference = exact_oracle(ch, problem)
             assert solved.rates.sum_rate >= 0.98 * reference.rates.sum_rate
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(k, 0) for k in range(1, 9)] + [(k, 1) for k in range(2, 9)]
+                           + [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
+           st.sampled_from([1e-3, 0.1, 10.0]), st.floats(0.5, 1.0),
+           st.sampled_from([0.0, 0.8]))
+    def test_no_feasible_point_beats_the_oracle(self, shape, seed, direct, noise,
+                                                alpha_far, min_rate_far):
+        # a reference independent of the exposed-point map: any feasible
+        # surface with any full-power split
+        k, g = shape
+        spec = (RisSpec(k, "single") if g == 0 else RisSpec(k, "full") if g == 1
+                else RisSpec(k, "group", group_count=g))
+        ch = unit_channel(k, seed=seed, direct_scale=direct, noise=noise)
+        problem = ProblemSpec(spec, 10.0, min_rate_far=min_rate_far)
+        point = sum_rate_at(ch, random_feasible(spec, seed),
+                            NomaAllocation(problem.power_mw, 1.0 - alpha_far, alpha_far))
+        feasible = point.rate_far >= min_rate_far
+        try:
+            solution = exact_oracle(ch, problem)
+        except InfeasibleAllocationError:
+            assert not feasible
+            return
+        assert validate(solution.phase, spec).is_feasible
+        assert solution.rates.rate_far >= min_rate_far - 1e-9
+        if feasible:
+            assert point.sum_rate <= solution.rates.sum_rate * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_full_surface_matches_the_eigen_sweep(self, k):
+        # without a direct link the reachable gains (|g_1^H v|^2, |g_2^H v|^2),
+        # |v| = |h|, are |h|^2 times the joint numerical range of g_1 g_1^H and
+        # g_2 g_2^H, which is convex (Toeplitz-Hausdorff); the top eigenvectors
+        # of lam g_1 g_1^H + (1 - lam) g_2 g_2^H sweep its upper boundary. The
+        # sum rate rises with both gains, so its best point is the optimum
+        problem = ProblemSpec(RisSpec(k, "full"), 10.0)
+        for seed, noise in ((0, 1e-3), (1, 0.1), (2, 10.0), (3, 1.0)):
+            ch = unit_channel(k, seed=seed, noise=noise)
+            outer = np.einsum("ui,uj->uij", ch.g_ris_user, ch.g_ris_user.conj())
+
+            def swept(lams):
+                top = np.linalg.eigh(lams[:, None, None] * outer[0]
+                                     + (1.0 - lams)[:, None, None] * outer[1])[1][..., -1]
+                gains = (np.linalg.norm(ch.h_sat_ris) ** 2
+                         * np.abs(top @ ch.g_ris_user.conj().T) ** 2)
+                # with no minimum rates the optimal split is alpha_far = 1/2
+                return sum(sic_rates(problem.power_mw, 0.5, 0.5, gains.max(axis=1),
+                                     gains.min(axis=1), noise))
+
+            lams, width = np.linspace(0.0, 1.0, 2001), 1e-3
+            for _ in range(6):
+                rates = swept(lams)
+                centre = lams[np.argmax(rates)]
+                lams = np.clip(np.linspace(centre - width, centre + width, 41), 0.0, 1.0)
+                width /= 10.0
+            oracle = exact_oracle(ch, problem).rates.sum_rate
+            assert oracle == pytest.approx(rates.max(), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("k,arch,direct", [(k, arch, direct) for k in (2, 8)
+                                               for arch in ("single", "full")
+                                               for direct in (0.0, 0.7)])
+    def test_never_short_of_the_solver_at_unit_scale(self, k, arch, direct):
+        problem = ProblemSpec(RisSpec(k, arch), 10.0)
+        for seed, noise in ((0, 1e-3), (1, 0.1), (2, 10.0)):
+            ch = unit_channel(k, seed=seed, direct_scale=direct, noise=noise)
+            solved = bcd_solve(ch, problem, BcdSettings()).rates.sum_rate
+            assert exact_oracle(ch, problem).rates.sum_rate >= solved * (1.0 - 1e-10)
