@@ -22,7 +22,7 @@ from .channel import draw_realization
 from .config import (ConfigError, SimConfig, apply_overrides, bcd_settings_from,
                      echo_config, geometry_from, link_budget_from, load_config,
                      ris_spec_from)
-from .experiments import (SweepSpec, emit_csv, emit_plot_script, oracle_suite,
+from .experiments import (SweepSpec, emit_csv, emit_plot_script, oracle_report, oracle_suite,
                           run_element_sweep, run_power_sweep, solve_pair)
 from .optimizer import InfeasibleAllocationError, ProblemSpec
 from .surfaces import (DimensionError, PhaseResponse, RisSpec,
@@ -171,11 +171,11 @@ def _cmd_sweep(cfg: SimConfig, kind: str, workers: int) -> int:
 def _cmd_oracle_check(cfg: SimConfig) -> int:
     """Solver quality against exact references: experiments.oracle_suite."""
     _require_reflective(cfg)
-    arms = oracle_suite(geometry_from(cfg), link_budget_from(cfg), cfg.power_dbm,
-                        cfg.base_seed, bcd_settings_from(cfg))
-    for arm in arms:
-        print(arm)
-    return 0 if all(arm.passed for arm in arms) else 1
+    lines, passed = oracle_report(oracle_suite(geometry_from(cfg), link_budget_from(cfg),
+                                               cfg.power_dbm, cfg.base_seed,
+                                               bcd_settings_from(cfg)))
+    print("\n".join(lines))
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:

@@ -86,35 +86,20 @@ def solve_pair(ch: ChannelRealization, problem: ProblemSpec,
     return {"CD_RIS": cd, "BD_RIS": bd}
 
 
-@dataclass(frozen=True)
-class OracleArm:
-    """One arm of oracle_suite: the solver's sum rate (or gain) over the
-    exact reference on each draw. All must lie in [low, high]: the solver
-    within 1e-8 of the optimum, and no reference beaten past rounding."""
-    name: str
-    ratios: tuple
-    low: float = 1.0 - 1e-8
-    high: float = 1.0 + 1e-10
-
-    @property
-    def passed(self) -> bool:
-        return all(self.low <= r <= self.high for r in self.ratios)
-
-    def __str__(self) -> str:
-        return (f"{self.name}: {len(self.ratios)} draws, solver/reference - 1 in "
-                f"[{min(self.ratios) - 1.0:.3e}, {max(self.ratios) - 1.0:.3e}], band "
-                f"[{self.low - 1.0:.0e}, {self.high - 1.0:.0e}] "
-                f"{'PASS' if self.passed else 'FAIL'}")
+# every ratio of oracle_suite must lie in this band: the solver within 1e-8
+# of the optimum, and no reference beaten past rounding
+_BAND = (1.0 - 1e-8, 1.0 + 1e-10)
 
 
 def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_dbm: float,
-                 base_seed: int, settings: BcdSettings = BcdSettings()) -> tuple:
-    """Solver quality against exact references, one OracleArm per arm: 50
-    K=2 diagonal bcd_solve draws and 8 K=80 solve_pair draws (the CD, the
-    fully connected and the G=16 solutions) against exact_oracle, and 50
-    single-user K=8 fully connected phase solves against the coherent gain
-    bound |h_d| + |g| |h|. Odd draws have direct links; draw i comes from
-    default_rng([base_seed, key, i]) with key 301, 303 and 302 per part."""
+                 base_seed: int, settings: BcdSettings = BcdSettings()) -> dict:
+    """Solver quality against exact references, {arm name: ratios}: 50 K=2
+    diagonal bcd_solve draws and 8 K=80 draws (the CD solution, and the
+    fully connected and G=16 ones warm-started from it as in solve_pair)
+    against exact_oracle, and 50 single-user K=8 fully connected phase
+    solves against the coherent gain bound |h_d| + |g| |h|. Odd draws have
+    direct links; draw i comes from default_rng([base_seed, key, i]) with
+    key 301, 303 and 302 per part."""
     def draw(k, users, key, i):
         return draw_realization(geometry, link_budget, k, num_users=users,
                                 include_direct=(i % 2 == 1),
@@ -123,19 +108,18 @@ def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_
     def ratio(solution, ch, problem):
         return solution.rates.sum_rate / exact_oracle(ch, problem).rates.sum_rate
 
-    diag2 = ProblemSpec(RisSpec(2, "single"), power_dbm)
+    diag2, cd80 = (ProblemSpec(RisSpec(k, "single"), power_dbm) for k in (2, 80))
     arms = {"K=2 diagonal": [ratio(bcd_solve(ch, diag2, settings), ch, diag2)
                              for ch in (draw(2, 2, 301, i) for i in range(50))],
             "K=80 CD": [], "K=80 full": [], "K=80 G=16": [], "single-user gain bound": []}
     for i in range(8):
         ch = draw(80, 2, 303, i)
+        cd = bcd_solve(ch, cd80, settings)
+        arms["K=80 CD"].append(ratio(cd, ch, cd80))
         for name, spec in (("full", RisSpec(80, "full")),
                            ("G=16", RisSpec(80, "group", group_count=16))):
-            pair = solve_pair(ch, ProblemSpec(spec, power_dbm), settings)
-            arms[f"K=80 {name}"].append(ratio(pair["BD_RIS"], ch, ProblemSpec(spec, power_dbm)))
-        # the CD solve of a pair does not depend on the BD surface
-        arms["K=80 CD"].append(ratio(pair["CD_RIS"], ch, ProblemSpec(RisSpec(80, "single"),
-                                                                     power_dbm)))
+            bd = ProblemSpec(spec, power_dbm)
+            arms[f"K=80 {name}"].append(ratio(bcd_solve(ch, bd, settings, cd.phase), ch, bd))
     full8 = ProblemSpec(RisSpec(8, "full"), power_dbm)
     for ch in (draw(8, 1, 302, i) for i in range(50)):
         phi = solve_phase_subproblem(ch, NomaAllocation(full8.power_mw, 0.0, 1.0), full8).phi
@@ -143,7 +127,19 @@ def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_
         bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
                                        * np.linalg.norm(ch.h_sat_ris))
         arms["single-user gain bound"].append(gain / bound)
-    return tuple(OracleArm(name, tuple(map(float, ratios))) for name, ratios in arms.items())
+    return {name: tuple(map(float, ratios)) for name, ratios in arms.items()}
+
+
+def oracle_report(arms: dict) -> tuple:
+    """One line per oracle_suite arm, ending PASS when all its ratios lie in
+    the band and FAIL otherwise, and whether every arm passed."""
+    passed = {name: all(_BAND[0] <= r <= _BAND[1] for r in ratios)
+              for name, ratios in arms.items()}
+    lines = tuple(f"{name}: {len(ratios)} draws, solver/reference - 1 in "
+                  f"[{min(ratios) - 1.0:.3e}, {max(ratios) - 1.0:.3e}], band "
+                  f"[{_BAND[0] - 1.0:.0e}, {_BAND[1] - 1.0:.0e}] "
+                  f"{'PASS' if passed[name] else 'FAIL'}" for name, ratios in arms.items())
+    return lines, all(passed.values())
 
 
 def _solve_trial(spec: SweepSpec, ris: RisSpec, power_dbm: float,

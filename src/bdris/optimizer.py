@@ -398,15 +398,13 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec, settings: BcdSetting
     return Solution(alloc, pr, rates, tuple(trace), converged)
 
 
-
-
 # ---------------------------------------------------------------------------
 # exact oracle: a search over the exposed points of the reachable channels
 # ---------------------------------------------------------------------------
 
 _DIRECTION_POINTS = (33, 64, 16)   # coarse points in t, p and (with direct links) a
 _SEARCH_STARTS = 4                 # best coarse local maxima refined
-_SEARCH_MIN_STEP = 2.0 ** -20      # in units of the coarse spacing
+_SEARCH_MIN_STEP = 2.0 ** -40      # in units of the coarse spacing
 _SEARCH_MAX_ITERS = 60
 
 
@@ -435,7 +433,7 @@ def _pattern_search(score, n: int, spacing: np.ndarray):
         scale = step[:, None] * spacing
         cand = x[:, None, :] + scale[:, None, :] * z
         f_cand = score(cand)
-        coef = np.where(np.isfinite(f_cand), f_cand, 0.0) @ fit.T    # used where all finite
+        coef = f_cand @ fit.T
         hess = np.empty((n, d, d))
         for col, (i, j) in enumerate(pairs, start=1 + d):
             hess[:, i, j] = hess[:, j, i] = coef[:, col] * (2.0 if i == j else 1.0)
@@ -445,12 +443,9 @@ def _pattern_search(score, n: int, spacing: np.ndarray):
         concave = lam < -1e-6 * np.max(np.abs(lam), axis=1, keepdims=True)
         along = np.einsum("nij,ni->nj", vec, coef[:, 1:1 + d])
         newton = np.where(concave, along / np.where(concave, -lam, 1.0), 0.0)
-        shift = np.einsum("nij,nj->ni", vec, newton)
-        shift = np.where(np.all(np.isfinite(f_cand), axis=1)[:, None],
-                         np.clip(shift, -2.0, 2.0), 0.0)
+        shift = np.clip(np.einsum("nij,nj->ni", vec, newton), -2.0, 2.0)
         cand = np.concatenate([cand, (x + scale * shift)[:, None, :]], axis=1)
         f_cand = np.concatenate([f_cand, score(cand[:, -1:, :])], axis=1)
-        f_cand = np.where(np.isnan(f_cand), -np.inf, f_cand)
         best = np.argmax(f_cand, axis=1)
         better = active & (f_cand[rows, best] > f + 1e-15 * np.abs(f))
         x = np.where(better[:, None], cand[rows, best], x)
@@ -465,13 +460,15 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     """Global sum-rate optimum for any K and every block size: the best
     closed-form-split sum rate at the exposed point y*(u) over unit u =
     e^{ja}(cos t, e^{jp} sin t) in C^2 (the module docstring says why this is
-    exact); a split that misses a minimum rate scores -inf. The best few
-    local maxima of a coarse grid, in a only with direct links (y*(u) turns
-    with u's phase, so each a costs O(1) there), are refined by
+    exact). A direction whose split misses a minimum rate scores minus its
+    rate shortfall: below every feasible direction, and rising toward the
+    feasible set, so the search reaches feasible sets too thin for the grid.
+    The best few local maxima of a coarse grid, in a only with direct links
+    (y*(u) turns with u's phase, so each a costs O(1) there), are refined by
     _pattern_search in a chart centred on each, u = e^{ja}(u_0 + xi u_0^perp)
     / sqrt(1 + |xi|^2), regular where (t, p) is not. Phi is built once and
-    its rates come from the power step. Raises InfeasibleAllocationError
-    when no direction meets the minimum rates.
+    its rates come from the power step, which raises
+    InfeasibleAllocationError when the best direction misses a minimum rate.
     """
     if ch.num_users != 2:
         raise ValueError("exact_oracle expects exactly 2 users")
@@ -487,7 +484,9 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
         gains = np.abs(ch.h_direct + c) ** 2
         alpha_far, r_n, r_f = _split(problem, gains.max(axis=-1), gains.min(axis=-1),
                                      ch.noise_mw)
-        return np.where(np.isnan(alpha_far), -np.inf, r_n + r_f)
+        shortfall = (np.maximum(problem.min_rate_near - r_n, 0.0)
+                     + np.maximum(problem.min_rate_far - r_f, 0.0))
+        return np.where(np.isnan(alpha_far), -shortfall, r_n + r_f)
 
     n_t, n_p, n_a = _DIRECTION_POINTS if np.any(ch.h_direct) else _DIRECTION_POINTS[:2] + (1,)
     t, p, a = np.meshgrid((np.arange(n_t) + 0.5) * (np.pi / 2.0 / n_t),
@@ -497,7 +496,7 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     dirs = np.stack([np.cos(t), np.exp(1j * p) * np.sin(t)], axis=-1)
     scores = rate(turn * (image(dirs[:, :, :1]) @ gc_t))    # one O(K) map per (t, p)
     dirs = turn * dirs
-    peaks = np.isfinite(scores)
+    peaks = np.full(scores.shape, True)
     for axis in range(3):
         for shift in (1, -1):
             near = np.roll(scores, shift, axis=axis)
@@ -505,8 +504,6 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
                 near[0 if shift == 1 else -1] = -np.inf
             peaks &= scores >= near
     flat = np.flatnonzero(peaks)
-    if flat.size == 0:
-        raise InfeasibleAllocationError("no surface direction meets the minimum rates")
     starts = flat[np.argsort(-scores.ravel()[flat], kind="stable")][:_SEARCH_STARTS]
     u0 = dirs.reshape(-1, 2)[starts, None, :]
     perp = np.stack([-u0[..., 1].conj(), u0[..., 0].conj()], axis=-1)

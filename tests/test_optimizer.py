@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from bdris import optimizer
 from bdris.channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                            draw_realization, effective_channel)
-from bdris.noma import NomaAllocation, achievable_rates, order_users, sic_rates
+from bdris.noma import (NomaAllocation, achievable_rates, min_power_split_for_far_rate,
+                        order_users, sic_rates)
 from bdris.optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
                              Solution, bcd_solve, exact_oracle,
                              solve_phase_subproblem, solve_power_subproblem,
@@ -485,6 +486,29 @@ class TestExactOracle:
         diag = exact_oracle(ch, ProblemSpec(RisSpec(2, "single"), 10.0))
         full = exact_oracle(ch, ProblemSpec(RisSpec(2, "full"), 10.0))
         assert full.rates.sum_rate >= diag.rates.sum_rate - 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 6, 10])
+    def test_feasible_set_thinner_than_the_grid_is_found(self, seed):
+        # a far-rate floor 1e-6 (in gain) below the best reachable weak-user
+        # gain leaves a sliver of directions that misses every coarse grid
+        # point; the oracle must still reach it, and do no worse than the
+        # sliver's max-min point theta*
+        ch = unit_channel(2, seed=seed, noise=0.1)
+        a = ch.g_ris_user.conj() * ch.h_sat_ris      # y_u = a_u1 + a_u2 e^{j theta}
+        theta = np.linspace(0.0, 2.0 * np.pi, 4097)
+        for _ in range(4):
+            gains = np.abs(a[:, :1] + a[:, 1:] * np.exp(1j * theta)) ** 2
+            best, step = np.argmax(gains.min(axis=0)), theta[1] - theta[0]
+            theta = np.linspace(theta[best] - step, theta[best] + step, 4097)
+        g_s, g_w = gains[:, best].max(), gains[:, best].min()
+        floor = np.log2(1.0 + 10.0 * g_w * (1.0 - 1e-6) / 0.1)
+        problem = ProblemSpec(RisSpec(2, "single"), 10.0, min_rate_far=floor)
+        solution = exact_oracle(ch, problem)
+        assert validate(solution.phase, problem.ris_spec).is_feasible
+        assert solution.rates.rate_far >= floor - 1e-12
+        alpha_far = max(0.5, min_power_split_for_far_rate(floor, 10.0, g_w, 0.1))
+        at_theta = sum(sic_rates(10.0, 1.0 - alpha_far, alpha_far, g_s, g_w, 0.1))
+        assert solution.rates.sum_rate >= at_theta * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("spec", [RisSpec(80, "single"), RisSpec(80, "full"),
                                       RisSpec(80, "group", group_count=16)])
