@@ -1,7 +1,7 @@
 """
 Beyond-diagonal reconfigurable surfaces for a LEO downlink with two NOMA
 users: feasible-set tooling, channel generation, closed-form power
-splitting, block-coordinate sum-rate optimization, and Monte-Carlo sweeps.
+splitting, sum-rate optimization by a direction ascent, and Monte-Carlo sweeps.
 """
 
 from .channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
@@ -13,9 +13,9 @@ from .experiments import (SweepResult, SweepSpec, emit_csv, emit_plot_script,
                           run_element_sweep, run_power_sweep)
 from .noma import (NomaAllocation, RateResult, achievable_rates,
                    min_power_split_for_far_rate, order_users)
-from .optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
-                        SCHEMES, Solution, bcd_solve, exact_oracle,
-                        solve_phase_subproblem, solve_power_subproblem)
+from .optimizer import (InfeasibleAllocationError, ProblemSpec, SCHEMES, Solution,
+                        bcd_solve, exact_oracle, solve_phase_subproblem,
+                        solve_power_subproblem)
 from .surfaces import (ARCHITECTURES, DimensionError, FeasibilityReport, MODES,
                        PhaseResponse, RisSpec, hardware_complexity,
                        project_feasible, random_feasible, validate)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARCHITECTURES", "MODES", "SCHEMES", "SPEED_OF_LIGHT",
-    "BcdSettings", "ChannelRealization", "ConfigError", "DimensionError",
+    "ChannelRealization", "ConfigError", "DimensionError",
     "FeasibilityReport", "GeometryParams", "InfeasibleAllocationError",
     "LinkBudgetParams", "NomaAllocation", "PhaseResponse", "ProblemSpec",
     "RateResult", "RisSpec", "SimConfig", "Solution", "SweepResult",

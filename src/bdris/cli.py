@@ -19,9 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import draw_realization
-from .config import (ConfigError, SimConfig, apply_overrides, bcd_settings_from,
-                     echo_config, geometry_from, link_budget_from, load_config,
-                     ris_spec_from)
+from .config import (ConfigError, SimConfig, apply_overrides, echo_config, geometry_from,
+                     link_budget_from, load_config, ris_spec_from)
 from .experiments import (SweepSpec, emit_csv, emit_plot_script, oracle_report, oracle_suite,
                           run_element_sweep, run_power_sweep, solve_pair)
 from .optimizer import InfeasibleAllocationError, ProblemSpec
@@ -113,13 +112,12 @@ def _cmd_complexity(cfg: SimConfig) -> int:
 def _cmd_solve_one(cfg: SimConfig) -> int:
     _require_reflective(cfg)
     spec = ris_spec_from(cfg)
-    settings = bcd_settings_from(cfg)
     rng = np.random.default_rng([cfg.base_seed, 0, 0])
     ch = draw_realization(geometry_from(cfg), link_budget_from(cfg), cfg.num_elements,
                           num_users=2, include_direct=cfg.include_direct, rng=rng)
     problem = ProblemSpec(spec, cfg.power_dbm, cfg.min_rate_near, cfg.min_rate_far)
     code = 0
-    for scheme, solution in solve_pair(ch, problem, settings).items():
+    for scheme, solution in solve_pair(ch, problem).items():
         if isinstance(solution, InfeasibleAllocationError):
             print(f"scheme={scheme} infeasible: {solution}", file=sys.stderr)
             code = 1
@@ -127,7 +125,7 @@ def _cmd_solve_one(cfg: SimConfig) -> int:
         r, a = solution.rates, solution.allocation
         print(f"scheme={scheme} rate_near={r.rate_near:.6e} rate_far={r.rate_far:.6e} "
               f"sum_rate={r.sum_rate:.6e} alpha_near={a.alpha_near:.6f} "
-              f"alpha_far={a.alpha_far:.6f} outer_iters={len(solution.trace)} "
+              f"alpha_far={a.alpha_far:.6f} steps={len(solution.trace) - 1} "
               f"converged={'true' if solution.converged else 'false'}")
     return code
 
@@ -143,7 +141,6 @@ def _sweep_spec_from(cfg: SimConfig) -> SweepSpec:
         include_direct=cfg.include_direct,
         min_rate_near=cfg.min_rate_near,
         min_rate_far=cfg.min_rate_far,
-        settings=bcd_settings_from(cfg),
     )
 
 
@@ -172,8 +169,7 @@ def _cmd_oracle_check(cfg: SimConfig) -> int:
     """Solver quality against exact references: experiments.oracle_suite."""
     _require_reflective(cfg)
     lines, passed = oracle_report(oracle_suite(geometry_from(cfg), link_budget_from(cfg),
-                                               cfg.power_dbm, cfg.base_seed,
-                                               bcd_settings_from(cfg)))
+                                               cfg.power_dbm, cfg.base_seed))
     print("\n".join(lines))
     return 0 if passed else 1
 

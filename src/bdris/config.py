@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .channel import GeometryParams, LinkBudgetParams, db_to_linear, path_gain, slant_range
-from .optimizer import BcdSettings
 from .surfaces import ARCHITECTURES, MODES, RisSpec
 
 
@@ -55,15 +54,12 @@ class SimConfig:
     # experiment harness
     trials: int = 200
     base_seed: int = 12345
-    bcd_max_iters: int = 50
-    bcd_rate_tol: float = 1e-4
     out_dir: str = "out"
 
 
 KEY_ORDER = tuple(f.name for f in dataclasses.fields(SimConfig))
 
-_INT_KEYS = {"num_elements", "group_count", "sector_count", "trials",
-             "base_seed", "bcd_max_iters"}
+_INT_KEYS = {"num_elements", "group_count", "sector_count", "trials", "base_seed"}
 _BOOL_KEYS = {"include_direct"}
 _STR_KEYS = {"architecture", "mode", "out_dir"}
 
@@ -175,8 +171,6 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(cfg.min_rate_far >= 0, "min_rate_far", "must be >= 0")
     _require(cfg.trials >= 1, "trials", "must be >= 1")
     _require(cfg.base_seed >= 0, "base_seed", "must be >= 0")
-    _require(cfg.bcd_max_iters >= 1, "bcd_max_iters", "must be >= 1")
-    _require(cfg.bcd_rate_tol > 0, "bcd_rate_tol", "must be > 0")
     _require(bool(cfg.out_dir), "out_dir", "must be non-empty")
     _check_link_gains(cfg)
     return cfg
@@ -267,7 +261,3 @@ def ris_spec_from(cfg: SimConfig) -> RisSpec:
                        cfg.group_count, cfg.sector_count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def bcd_settings_from(cfg: SimConfig) -> BcdSettings:
-    return BcdSettings(max_outer_iters=cfg.bcd_max_iters, rate_tolerance=cfg.bcd_rate_tol)

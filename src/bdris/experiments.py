@@ -19,9 +19,8 @@ import numpy as np
 
 from .channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                       draw_realization)
-from .noma import NomaAllocation
-from .optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
-                        SCHEMES, bcd_solve, exact_oracle, solve_phase_subproblem)
+from .optimizer import (InfeasibleAllocationError, ProblemSpec, SCHEMES, bcd_solve,
+                        exact_oracle, solve_phase_subproblem)
 from .surfaces import RisSpec
 
 DETAIL_HEADER = "power_dbm,num_elements,scheme,trial,rate_near,rate_far,sum_rate,outage"
@@ -46,7 +45,6 @@ class SweepSpec:
     include_direct: bool = False
     min_rate_near: float = 0.0    # bps/Hz
     min_rate_far: float = 0.0     # bps/Hz
-    settings: BcdSettings = BcdSettings()
 
     def __post_init__(self):
         if self.trials < 1:
@@ -69,15 +67,14 @@ class SweepResult:
     aggregate_rows: tuple  # (power_dbm, num_elements, scheme, mean, std, n_ok, n_outage)
 
 
-def solve_pair(ch: ChannelRealization, problem: ProblemSpec,
-               settings: BcdSettings = BcdSettings()) -> dict:
+def solve_pair(ch: ChannelRealization, problem: ProblemSpec) -> dict:
     """Solve one realization with both schemes: CD_RIS from the identity,
     then BD_RIS from the CD phases (from the identity when CD is
     infeasible), so BD never falls below CD. problem.scheme is not read.
     Returns {scheme: Solution or the InfeasibleAllocationError it raised}."""
     def attempt(scheme, warm):
         try:
-            return bcd_solve(ch, replace(problem, scheme=scheme), settings, warm_start_pr=warm)
+            return bcd_solve(ch, replace(problem, scheme=scheme), warm_start_pr=warm)
         except InfeasibleAllocationError as exc:
             return exc
 
@@ -92,7 +89,7 @@ _BAND = (1.0 - 1e-8, 1.0 + 1e-10)
 
 
 def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_dbm: float,
-                 base_seed: int, settings: BcdSettings = BcdSettings()) -> dict:
+                 base_seed: int) -> dict:
     """Solver quality against exact references, {arm name: ratios}: 50 K=2
     diagonal bcd_solve draws and 8 K=80 draws (the CD solution, and the
     fully connected and G=16 ones warm-started from it as in solve_pair)
@@ -109,20 +106,20 @@ def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_
         return solution.rates.sum_rate / exact_oracle(ch, problem).rates.sum_rate
 
     diag2, cd80 = (ProblemSpec(RisSpec(k, "single"), power_dbm) for k in (2, 80))
-    arms = {"K=2 diagonal": [ratio(bcd_solve(ch, diag2, settings), ch, diag2)
+    arms = {"K=2 diagonal": [ratio(bcd_solve(ch, diag2), ch, diag2)
                              for ch in (draw(2, 2, 301, i) for i in range(50))],
             "K=80 CD": [], "K=80 full": [], "K=80 G=16": [], "single-user gain bound": []}
     for i in range(8):
         ch = draw(80, 2, 303, i)
-        cd = bcd_solve(ch, cd80, settings)
+        cd = bcd_solve(ch, cd80)
         arms["K=80 CD"].append(ratio(cd, ch, cd80))
         for name, spec in (("full", RisSpec(80, "full")),
                            ("G=16", RisSpec(80, "group", group_count=16))):
             bd = ProblemSpec(spec, power_dbm)
-            arms[f"K=80 {name}"].append(ratio(bcd_solve(ch, bd, settings, cd.phase), ch, bd))
+            arms[f"K=80 {name}"].append(ratio(bcd_solve(ch, bd, cd.phase), ch, bd))
     full8 = ProblemSpec(RisSpec(8, "full"), power_dbm)
     for ch in (draw(8, 1, 302, i) for i in range(50)):
-        phi = solve_phase_subproblem(ch, NomaAllocation(full8.power_mw, 0.0, 1.0), full8).phi
+        phi = solve_phase_subproblem(ch, full8)[0].phi
         gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (phi @ ch.h_sat_ris))
         bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
                                        * np.linalg.norm(ch.h_sat_ris))
@@ -147,8 +144,7 @@ def _solve_trial(spec: SweepSpec, ris: RisSpec, power_dbm: float,
     rng = np.random.default_rng([spec.base_seed, stream_key, trial])
     ch = draw_realization(spec.geometry, spec.link_budget, ris.num_elements,
                           num_users=2, include_direct=spec.include_direct, rng=rng)
-    pair = solve_pair(ch, ProblemSpec(ris, power_dbm, spec.min_rate_near, spec.min_rate_far),
-                      spec.settings)
+    pair = solve_pair(ch, ProblemSpec(ris, power_dbm, spec.min_rate_near, spec.min_rate_far))
     rows = []
     for scheme in spec.schemes:
         solution = pair[scheme]

@@ -101,7 +101,9 @@ def min_power_split_for_far_rate(r_min_far: float, total_power_mw: float,
 
         alpha_far* = (2^r - 1)(p g_w + noise) / (p g_w 2^r)
 
-    Returns the closed-form value even when it exceeds 1 (the caller checks
+    2^r - 1 is taken as expm1(r ln 2): at satellite-scale floors (r ~ 1e-13)
+    the difference 2^r - 1 keeps only a few significant digits. Returns the
+    closed-form value even when it exceeds 1 (the caller checks
     feasibility); an unreachable weak user (g_w = 0 with r > 0) returns inf.
     gamma_weak broadcasts: an array of gains gives an array of splits.
     """
@@ -110,7 +112,6 @@ def min_power_split_for_far_rate(r_min_far: float, total_power_mw: float,
     if r_min_far <= 0:
         return np.zeros(np.shape(gamma_weak))[()]
     pg = total_power_mw * np.asarray(gamma_weak, dtype=float)
-    growth = 2.0 ** r_min_far
     with np.errstate(divide="ignore", invalid="ignore"):
-        split = (growth - 1.0) * (pg + noise_mw) / (pg * growth)
+        split = np.expm1(r_min_far * LN2) * (pg + noise_mw) / (pg * 2.0 ** r_min_far)
     return np.where(pg > 0.0, split, np.inf)[()]

@@ -1,50 +1,53 @@
 """
 Sum-rate maximization over power split and surface phases.
 
-Block coordinate descent alternates a closed-form power split with an
-exposed-point phase update:
+With a single satellite feed Phi enters the rates only through its image
+v = Phi h, and the feasible images are exactly the vectors with |v_b| = |h_b|
+per block (bs = 1 is the diagonal surface). The solver and the exact oracle
+both work on v for every architecture, and build Phi once at the end.
 
-- Power subproblem: with the SIC ordering fixed by the current phases, the
+- Power split (_split): with the SIC ordering fixed by the gains, the
   two-user sum rate is non-increasing in alpha_far on [0.5, 1], so the
   optimum sits at the smallest feasible split alpha_far = max(0.5,
-  alpha_far*), alpha_near = 1 - alpha_far, using full power.
-- Phase subproblem: ascent on the weighted effective-gain surrogate
-  f(Phi) = sum_u w_u |h_d,u + g_u^H Phi h|^2, with weights equal to the rate
-  sensitivities dR_u/d|h_eff,u|^2 at the current operating point. With a
-  single satellite feed Phi enters the objective only through its image
-  v = Phi h, and the feasible images are exactly the vectors with
-  |v_b| = |h_b| per block (bs = 1 is the diagonal surface). The iterate is
-  v for every architecture. Each step is the exposed point
-  v_b = |h_b| q_b/|q_b| of the gradient q = sum_u w_u e_u g_u (the surrogate's
-  gradient in Phi is q h^H), followed by an exact line search over the
-  global phase (all feasible sets are closed under scalar phase rotation).
-  f is convex with weights >= 0, so f(x') >= f(x) + Re<grad, x' - x>, and
-  the exposed point maximizes that linear minorant over the feasible set: no
-  other feasible point, and so no projected step of any size, does better on
-  it. The ascent therefore stops the first time the exposed point fails to
-  raise f. Phi is built once per phase solve, by a block unitary that maps
-  the warm-start image to the final one.
+  alpha_far*), alpha_near = 1 - alpha_far, using full power. Every image is
+  scored at that split (_score): its sum rate, or minus its rate shortfall
+  where no split meets the minimum rates, which lies below every feasible
+  image and rises toward the feasible set.
+- Phase ascent (solve_phase_subproblem): one ascent over directions u in C^2.
+  Each step moves to the exposed point v_b = |h_b| q_b/|q_b| of
+  q = u_1 g_1 + u_2 g_2 with u = w e, where e are the effective channels and
+  w the derivative of the score in the two gains |e_u|^2. Since
+  d score = 2 Re<q, dv>, the exposed point is the feasible image that
+  maximizes the score's linearization, and the global phase that maximizes
+  it follows (all feasible sets are closed under scalar phase rotation; the
+  phase matters only with direct links). w is a total derivative: where the
+  far user's floor binds, alpha_far* falls as the weak gain grows and frees
+  power for the near user, which the rate gradient at a fixed split
+  (noma.sic_rate_gradient) does not see. So the power split moves inside
+  every step, and no outer loop re-splits it. A step is kept only if it
+  raises the score by more than 1e-12 relative.
 
-The exact oracle (exact_oracle) needs no alternation. The reachable effective
-channels are y = h_d + (g_1^H v, g_2^H v) over images with |v_b| = |h_b|, so
-their convex hull is h_d plus the Minkowski sum of the ellipsoids M_b B(|h_b|),
-M_b the 2 x bs matrix with rows g_u,b^H. After the closed-form split the sum
-rate never falls as either |y_u| grows, so its maximum over the hull lies on
-the boundary, where every point is a support point: for some unit u in C^2 it
-is y*(u) = h_d + sum_b |h_b| M_b M_b^H u/|M_b^H u|, the channels of the
-feasible image v_b = |h_b| q_b/|q_b|, q = u_1 g_1 + u_2 g_2 (the exposed
-point). The best y*(u) over u is therefore the global optimum, for every block
-size (Nerini, Shen & Clerckx, IEEE TWC 2024, give the fully connected closed
-form). Only a rank-deficient block (bs = 1) can have M_b^H u = 0, which makes
-the support set a face; y*(u) at nearby u reaches its reachable points.
+The exact oracle (exact_oracle) searches the same directions globally. The
+reachable effective channels are y = h_d + (g_1^H v, g_2^H v) over images
+with |v_b| = |h_b|, so their convex hull is h_d plus the Minkowski sum of the
+ellipsoids M_b B(|h_b|), M_b the 2 x bs matrix with rows g_u,b^H. After the
+closed-form split the sum rate never falls as either |y_u| grows, so its
+maximum over the hull lies on the boundary, where every point is a support
+point: for some unit u in C^2 it is y*(u) = h_d + sum_b |h_b| M_b M_b^H
+u/|M_b^H u|, the channels of the feasible image v_b = |h_b| q_b/|q_b|,
+q = u_1 g_1 + u_2 g_2 (the exposed point). The best y*(u) over u is therefore
+the global optimum, for every block size (Nerini, Shen & Clerckx, IEEE TWC
+2024, give the fully connected closed form). Only a rank-deficient block
+(bs = 1) can have M_b^H u = 0, which makes the support set a face; y*(u) at
+nearby u reaches its reachable points.
 
 The conventional-surface baseline (CD_RIS) is the same solver restricted to
 the single-connected diagonal set. bcd_solve starts from the phases it is
 given, or from the identity; warm-starting the beyond-diagonal run from the
-converged baseline phases (experiments.solve_pair) makes its final sum rate
-dominate the baseline on every realization, since diagonal unit-modulus
-matrices are feasible for every architecture and neither subproblem ever
-returns a worse point than its warm start.
+baseline phases (experiments.solve_pair) makes its final sum rate dominate
+the baseline on every realization, since diagonal unit-modulus matrices are
+feasible for every architecture and the ascent never returns a point that
+scores below its warm start.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, db_to_linear, effective_channel
-from .noma import (NomaAllocation, RateResult, achievable_rates,
+from .noma import (LN2, NomaAllocation, RateResult, achievable_rates,
                    min_power_split_for_far_rate, order_users, sic_rate_gradient,
                    sic_rates)
 # perfbench/spans.py wraps optimizer.project_feasible by name; nothing here calls it
@@ -64,7 +67,7 @@ from .surfaces import PhaseResponse, RisSpec, project_feasible  # noqa: F401
 SCHEMES = ("BD_RIS", "CD_RIS")
 
 _IMPROVE_MARGIN = 1e-12
-_PHASE_INNER_ITERS = 100
+_PHASE_STEPS = 100
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -103,28 +106,12 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class BcdSettings:
-    """Stopping rule of bcd_solve's outer loop (config keys bcd_max_iters
-    and bcd_rate_tol): at most max_outer_iters iterations, stopping early
-    once one raises the sum rate by less than rate_tolerance."""
-
-    max_outer_iters: int = 50
-    rate_tolerance: float = 1e-4     # bps/Hz
-
-    def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        if self.rate_tolerance <= 0:
-            raise ValueError("rate_tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class Solution:
     allocation: NomaAllocation
     phase: PhaseResponse
     rates: RateResult
-    trace: tuple          # per-outer-iteration sum rate, non-decreasing
-    converged: bool
+    trace: tuple          # the winning start's score, at its start and after each kept step
+    converged: bool       # False only when that start ran into the step cap
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +139,9 @@ def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
     It is the image of the projection of q h^H onto the feasible set, and so
     the limit of every projected gradient step as the step size grows (for
     bs = 1, v_k = |h_k| e^{j arg q_k}). A block with q_b = 0 keeps its
-    fallback image. Leading axes of q are independent directions; they share
-    one rescaling when their scale is out of range.
+    fallback image (one image, or one per direction). Leading axes of q are
+    independent directions; they share one rescaling when their scale is out
+    of range.
     """
     qb = q.reshape(q.shape[:-1] + (-1, bs))
     qn = np.linalg.norm(qb, axis=-1)
@@ -166,7 +154,7 @@ def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
     moved = qn > 0.0
     scale = np.divide(h_norms, qn, out=np.zeros_like(qn), where=moved)
     return np.where(moved[..., None], qb * scale[..., None],
-                    fallback.reshape(-1, bs)).reshape(q.shape)
+                    fallback.reshape(fallback.shape[:-1] + (-1, bs))).reshape(q.shape)
 
 
 def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
@@ -177,7 +165,11 @@ def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
     rotation R that takes z w_b to v_b inside span{w_b, v_b}. Taking the
     phase out first keeps R - I as small as the change of direction, so U
     stays unitary to rounding even when v_b is nearly parallel to w_b.
-    Blocks whose image did not move keep their rows of base exactly.
+    Only blocks whose direction moved (n > 0) form the rotation products;
+    the others turn by z alone, and so does every block of a diagonal
+    surface, whose one-element blocks have no direction to move (their n is
+    rounding only). Blocks whose image did not move keep their rows of base
+    exactly.
     """
     k = base.shape[0]
     wb = w.reshape(-1, bs)
@@ -186,153 +178,146 @@ def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
     c = np.sum(wb.conj() * vb, axis=1)
     cmag = np.abs(c)
     z = np.divide(c, cmag, out=np.ones_like(c), where=cmag > 0.0)
-    e1, e2, a, n = _plane(z[:, None] * wb, vb)
-    r = np.hypot(np.abs(a), n)
-    cos = np.divide(a, r, out=np.ones_like(a), where=r > 0.0)
-    sin = np.divide(n, r, out=np.zeros_like(n), where=r > 0.0)
-    basis = np.stack([e1, e2], axis=2)                          # (blocks, bs, 2)
-    rot = np.stack([np.stack([cos - 1.0, -sin], axis=1),        # R - I
-                    np.stack([sin, np.conj(cos) - 1.0], axis=1)], axis=1)
-    coords = basis.conj().transpose(0, 2, 1) @ rows             # (blocks, 2, k)
-    turned = z[:, None, None] * (rows + (basis @ rot) @ coords)
     moved = np.any(vb != wb, axis=1)
-    return np.where(moved[:, None, None], turned, rows).reshape(k, k)
+    rotated = np.zeros_like(moved)
+    if bs > 1:
+        e1, e2, a, n = _plane(z[:, None] * wb, vb)
+        rotated = moved & (n > 0.0)
+    out = rows.copy()
+    phased = np.flatnonzero(moved & ~rotated)
+    out[phased] *= z[phased, None, None]
+    t = np.flatnonzero(rotated)
+    if t.size:
+        r = np.hypot(np.abs(a[t]), n[t])
+        cos, sin = a[t] / r, n[t] / r
+        basis = np.stack([e1[t], e2[t]], axis=2)                # (rotated, bs, 2)
+        rot = np.stack([np.stack([cos - 1.0, -sin], axis=1),    # R - I
+                        np.stack([sin, np.conj(cos) - 1.0], axis=1)], axis=1)
+        turning = rows[t]
+        coords = basis.conj().transpose(0, 2, 1) @ turning      # (rotated, 2, k)
+        turned = (basis @ rot) @ coords
+        turned += turning
+        out[t] = np.multiply(z[t, None, None], turned, out=turned)
+    return out.reshape(k, k)
 
 
-class _Objective:
-    """Effective gains and, at a fixed allocation, the sum rate and its gradient."""
-
-    def __init__(self, ch: ChannelRealization, alloc: NomaAllocation):
-        self.hd = ch.h_direct
-        self.h = ch.h_sat_ris
-        self.g = ch.g_ris_user
-        self.gc = ch.g_ris_user.conj()
-        self.noise = ch.noise_mw
-        self.p = alloc.total_power_mw
-        self.an = alloc.alpha_near
-        self.af = alloc.alpha_far
-
-    def eff(self, v: np.ndarray) -> np.ndarray:
-        """Effective channels h_d,u + g_u^H v of the image v = Phi h."""
-        return self.hd + self.gc @ v
-
-    def sum_rate_of_gains(self, gains: np.ndarray):
-        """Sum rate per row of gains; a lone user is both strong and weak."""
-        r_n, r_f = sic_rates(self.p, self.an, self.af, np.max(gains, axis=-1),
-                             np.min(gains, axis=-1), self.noise)
-        return r_n + r_f
-
-    def sum_rate(self, e: np.ndarray) -> float:
-        return float(self.sum_rate_of_gains(np.abs(e) ** 2))
-
-    def rate_weights(self, gains: np.ndarray) -> np.ndarray:
-        """dR/dgamma_u per user; a lone user is both strong and weak."""
-        strong = int(np.argmax(gains))     # ties go to the lower index, as in order_users
-        weak = len(gains) - 1 - strong
-        d_strong, d_weak = sic_rate_gradient(self.p, self.an, self.af, gains[strong],
-                                             gains[weak], self.noise)
-        w = np.zeros(len(gains))
-        w[strong] += d_strong
-        w[weak] += d_weak
-        return w
+def _split(problem: ProblemSpec, g_s, g_w, noise: float):
+    """The optimal full-power split alpha_far = max(0.5, alpha_far*) (at most
+    1), whether it meets both minimum rates, and its (rate_near, rate_far),
+    per pair of strong and weak gains (all broadcast)."""
+    a_star = min_power_split_for_far_rate(problem.min_rate_far, problem.power_mw, g_w, noise)
+    alpha_far = np.minimum(np.maximum(0.5, a_star), 1.0)
+    r_n, r_f = sic_rates(problem.power_mw, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
+    feasible = (a_star <= 1.0 + 1e-12) & (r_n >= problem.min_rate_near * (1.0 - 1e-12))
+    return alpha_far, feasible, r_n, r_f
 
 
-def _align_global_phase(v: np.ndarray, e: np.ndarray, obj: _Objective,
-                        weights: np.ndarray):
-    """Exact maximizer of the surrogate over v -> e^{j delta} v."""
-    z = np.sum(weights * np.conj(obj.hd) * (e - obj.hd))
-    mag = abs(z)
-    if mag == 0.0:
-        return v, e
-    phase = complex(z.real / mag, -z.imag / mag)     # by parts: |z| may be subnormal
-    return v * phase, obj.hd + (e - obj.hd) * phase
+def _score(problem: ProblemSpec, gains: np.ndarray, noise: float):
+    """Score of each row of gains (..., users) and its total derivative in
+    the gains. The score is the sum rate at the closed-form split, or minus
+    the rate shortfall (near plus far, at the split clipped to 1) where no
+    split meets the minimum rates. A lone user is both strong and weak."""
+    p = problem.power_mw
+    g_s, g_w = gains.max(axis=-1), gains.min(axis=-1)
+    alpha_far, feasible, r_n, r_f = _split(problem, g_s, g_w, noise)
+    short_f = np.maximum(problem.min_rate_far - r_f, 0.0)
+    score = np.where(feasible, r_n + r_f,
+                     -(np.maximum(problem.min_rate_near - r_n, 0.0) + short_f))
+
+    d_s, d_w = sic_rate_gradient(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
+    # Where the far floor r binds, the far rate stays at r as g_w grows, and
+    # alpha_far = c (1 + noise/(p g_w)), c = 1 - 2^-r, falls by
+    # (alpha_far - c)/g_w per unit of g_w: the weak gain buys near rate.
+    # Elsewhere the split is fixed, and a far rate above its floor does not
+    # count in a shortfall (nor does a near rate, but where it meets its
+    # floor and the far one does not, the split is 1 and d_s = 0).
+    binding = (alpha_far > 0.5) & (alpha_far < 1.0)
+    slide = np.divide(alpha_far + np.expm1(-problem.min_rate_far * LN2), g_w,
+                      out=np.zeros_like(g_w), where=binding)
+    w_weak = np.where(binding, p * g_s * slide / ((p * (1.0 - alpha_far) * g_s + noise) * LN2),
+                      np.where(feasible | (short_f > 0.0), d_w, 0.0))
+    users = np.arange(gains.shape[-1])
+    strong = np.argmax(gains, axis=-1)[..., None]   # ties go to the lower index, as in order_users
+    slope = ((users == strong) * d_s[..., None]
+             + (users == users[-1] - strong) * w_weak[..., None])
+    return score, slope
 
 
-def _ascend(v: np.ndarray, obj: _Objective, weights: np.ndarray, h_norms: np.ndarray,
-            bs: int):
-    """Exposed-point ascent from the image v; returns the image with the best
-    sum rate along the path (the surrogate is non-decreasing along it)."""
-    v, e = _align_global_phase(v, obj.eff(v), obj, weights)
-    f = float(np.sum(weights * np.abs(e) ** 2))
-    best_rate = obj.sum_rate(e)
-    best_v = v
-    for _ in range(_PHASE_INNER_ITERS):
-        q = (weights * e) @ obj.g      # gradient of the surrogate is q h^H
-        cand = _exposed(q, h_norms, v, bs)
-        cand, e_cand = _align_global_phase(cand, obj.eff(cand), obj, weights)
-        f_cand = float(np.sum(weights * np.abs(e_cand) ** 2))
-        if not f_cand > f * (1.0 + _IMPROVE_MARGIN):
-            break
-        v, e, f = cand, e_cand, f_cand
-        rate = obj.sum_rate(e)
-        if rate > best_rate:
-            best_rate = rate
-            best_v = v
-    return best_v, best_rate
+def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
+                           warm_start_pr: PhaseResponse | None = None) -> tuple:
+    """Maximize the closed-form-split score over the surface phases.
 
-
-def _coarse_grid_start(obj: _Objective, k: int, points: int = 8) -> np.ndarray:
-    """Image of the best point of a coarse per-element phase grid (diagonal, small K)."""
-    phases = np.exp(2j * np.pi * np.arange(points) / points)
-    flat = np.stack([g.ravel() for g in np.meshgrid(*([phases] * k), indexing="ij")],
-                    axis=1)                                      # (points^k, k)
-    e = obj.hd[None, :] + flat @ (obj.gc * obj.h[None, :]).T
-    rates = obj.sum_rate_of_gains(np.abs(e) ** 2)
-    return flat[int(np.argmax(rates))] * obj.h
-
-
-def solve_phase_subproblem(ch: ChannelRealization, alloc: NomaAllocation,
-                           problem: ProblemSpec,
-                           warm_start_pr: PhaseResponse | None = None) -> PhaseResponse:
-    """Improve the surface phases at a fixed power allocation.
-
-    Runs the exposed-point ascent on the weighted effective-gain surrogate
-    (weights evaluated at the warm-start gains) over the image v = Phi h.
-    Ascents run from the warm start (the identity when None), from one start
-    per user, v = _exposed(g_u), that steers the surface to that user alone,
-    and (diagonal sets with K <= 3) from a coarse-grid seed. Phi is built
-    once, from the image with the best achieved sum rate, so the result is
-    never worse than the warm start.
+    Runs the direction ascent of the module docstring from three starts,
+    held as rows of one array: the warm start's image (the identity when
+    None) and, per user, v = _exposed(g_u), which steers the surface to that
+    user alone. A row stops at its first step that does not raise its score
+    by more than 1e-12 relative, or after _PHASE_STEPS kept steps. Phi is
+    built once, from the best row's image, so it never scores below the warm
+    start. Returns the PhaseResponse and that row's trace: its score at its
+    start and after each kept step.
     """
     spec = problem.effective_spec
     bs = spec.block_size
-    obj = _Objective(ch, alloc)
     if warm_start_pr is not None:
         if warm_start_pr.mode != "reflective":
             raise ValueError("warm start must be a reflective phase response")
         base = warm_start_pr.phi
     else:
         base = np.eye(spec.num_elements, dtype=complex)
-    warm = base @ obj.h
-    h_norms = np.linalg.norm(obj.h.reshape(-1, bs), axis=1)
+    h, hd, g = ch.h_sat_ris, ch.h_direct, ch.g_ris_user
+    gc_t = g.conj().T
+    h_norms = np.linalg.norm(h.reshape(-1, bs), axis=1)
+    warm = base @ h
 
-    e_warm = obj.eff(warm)
-    weights = obj.rate_weights(np.abs(e_warm) ** 2)
+    v = np.vstack([warm, _exposed(g, h_norms, h, bs)])
+    e = hd + v @ gc_t
+    f, w = _score(problem, np.abs(e) ** 2, ch.noise_mw)
+    history = [f]
+    steps = np.zeros(len(v), dtype=int)
+    active = np.ones(len(v), dtype=bool)
+    for _ in range(_PHASE_STEPS):
+        cand = _exposed((w * e) @ g, h_norms, v, bs)
+        c = cand @ gc_t
+        # the global phase that maximizes the linearized score (1 without
+        # direct links, where z = 0); by parts, since |z| may be subnormal
+        z = np.sum(w * hd.conj() * c, axis=1)
+        mag = np.abs(z)
+        turn = (np.divide(z.real, mag, out=np.ones_like(mag), where=mag > 0.0)
+                - 1j * np.divide(z.imag, mag, out=np.zeros_like(mag), where=mag > 0.0))
+        e_cand = hd + turn[:, None] * c
+        f_cand, w_cand = _score(problem, np.abs(e_cand) ** 2, ch.noise_mw)
+        active &= f_cand > f + _IMPROVE_MARGIN * np.abs(f)
+        if not active.any():
+            break
+        v = np.where(active[:, None], turn[:, None] * cand, v)
+        e = np.where(active[:, None], e_cand, e)
+        w = np.where(active[:, None], w_cand, w)
+        f = np.where(active, f_cand, f)
+        steps += active
+        history.append(f)
+    best = int(np.argmax(f))
+    trace = tuple(float(scores[best]) for scores in history[:steps[best] + 1])
+    return PhaseResponse.reflective(_surface_with_image(base, warm, v[best], bs)), trace
 
-    candidates = [warm] + [_exposed(g_u, h_norms, obj.h, bs) for g_u in obj.g]
-    if bs == 1 and spec.num_elements <= 3:
-        candidates.append(_coarse_grid_start(obj, spec.num_elements))
 
-    best_v, best_rate = warm, obj.sum_rate(e_warm)
-    for cand in candidates:
-        raw_rate = obj.sum_rate(obj.eff(cand))
-        if raw_rate > best_rate:
-            best_v, best_rate = cand, raw_rate
-        v, rate = _ascend(cand, obj, weights, h_norms, bs)
-        if rate > best_rate:
-            best_v, best_rate = v, rate
-    return PhaseResponse.reflective(_surface_with_image(base, warm, best_v, bs))
-
-
-def _split(problem: ProblemSpec, g_s, g_w, noise: float):
-    """The optimal full-power split alpha_far = max(0.5, alpha_far*) and its
-    (rate_near, rate_far), per pair of strong and weak gains (all broadcast).
-    alpha_far is nan where no split meets both minimum rates."""
-    a_star = min_power_split_for_far_rate(problem.min_rate_far, problem.power_mw, g_w, noise)
-    alpha_far = np.minimum(np.maximum(0.5, a_star), 1.0)
-    r_n, r_f = sic_rates(problem.power_mw, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
-    feasible = (a_star <= 1.0 + 1e-12) & (r_n >= problem.min_rate_near - 1e-12)
-    return np.where(feasible, alpha_far, np.nan), r_n, r_f
+def _evaluate(ch: ChannelRealization, pr: PhaseResponse,
+              problem: ProblemSpec) -> tuple:
+    """The optimal full-power split on pr and its RateResult, from one
+    evaluation of pr's effective channels. Raises InfeasibleAllocationError
+    when no split meets both minimum rates."""
+    if ch.num_users != 2:
+        raise ValueError("the power subproblem is defined for exactly 2 users")
+    h_effs = [effective_channel(ch, pr, u) for u in range(2)]
+    strong, weak = order_users(h_effs)
+    alpha_far, feasible, _, _ = _split(problem, abs(h_effs[strong]) ** 2,
+                                       abs(h_effs[weak]) ** 2, ch.noise_mw)
+    if not feasible:
+        raise InfeasibleAllocationError(
+            f"no full-power split meets the minimum rates (near {problem.min_rate_near}, "
+            f"far {problem.min_rate_far})")
+    alloc = NomaAllocation(problem.power_mw, 1.0 - float(alpha_far), float(alpha_far))
+    return alloc, achievable_rates(alloc, h_effs[strong], h_effs[weak], ch.noise_mw,
+                                   (strong, weak))
 
 
 def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
@@ -346,56 +331,25 @@ def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
 
     Raises InfeasibleAllocationError when no split meets both minimum rates.
     """
-    if ch.num_users != 2:
-        raise ValueError("the power subproblem is defined for exactly 2 users")
-    h_effs = [effective_channel(ch, pr, u) for u in range(2)]
-    strong, weak = order_users(h_effs)
-    alpha_far, _, _ = _split(problem, abs(h_effs[strong]) ** 2, abs(h_effs[weak]) ** 2,
-                             ch.noise_mw)
-    if np.isnan(alpha_far):
-        raise InfeasibleAllocationError(
-            f"no full-power split meets the minimum rates (near {problem.min_rate_near}, "
-            f"far {problem.min_rate_far})")
-    alpha_far = float(alpha_far)
-    return NomaAllocation(problem.power_mw, 1.0 - alpha_far, alpha_far)
+    return _evaluate(ch, pr, problem)[0]
 
 
-def _evaluate(ch: ChannelRealization, pr: PhaseResponse, alloc: NomaAllocation) -> RateResult:
-    h_effs = [effective_channel(ch, pr, u) for u in range(2)]
-    strong, weak = order_users(h_effs)
-    return achievable_rates(alloc, h_effs[strong], h_effs[weak], ch.noise_mw, (strong, weak))
-
-
-def bcd_solve(ch: ChannelRealization, problem: ProblemSpec, settings: BcdSettings,
+def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
               warm_start_pr: PhaseResponse | None = None) -> Solution:
-    """Alternate the power and phase subproblems until the sum-rate gain per
-    outer iteration falls below rate_tolerance or max_outer_iters is hit.
+    """Solve one realization: solve_phase_subproblem from warm_start_pr (the
+    identity when None), whose score holds the optimal power split at every
+    step, then one power step and one rate evaluation on the built Phi.
 
-    The phases start at warm_start_pr, or at the identity when it is None.
-    The initial power solve on the warm-start phases counts as iteration 1,
-    so max_outer_iters=1 returns that allocation untouched. The trace is
-    non-decreasing: the power step is an exact argmax at fixed phases and
-    the phase step never returns a point with a lower sum rate than its warm
-    start. Propagates InfeasibleAllocationError from the power subproblem.
+    The Solution's trace is the winning start's ascent trace, and converged
+    is False only when that start ran into the step cap. Raises
+    InfeasibleAllocationError when the best start still misses a minimum
+    rate.
     """
     if ch.num_users != 2:
         raise ValueError("bcd_solve expects exactly 2 users")
-    pr = warm_start_pr
-    if pr is None:
-        pr = PhaseResponse.reflective(np.eye(problem.ris_spec.num_elements, dtype=complex))
-    alloc = solve_power_subproblem(ch, pr, problem)
-    rates = _evaluate(ch, pr, alloc)
-    trace = [rates.sum_rate]
-    converged = False
-    for _ in range(settings.max_outer_iters - 1):
-        pr = solve_phase_subproblem(ch, alloc, problem, warm_start_pr=pr)
-        alloc = solve_power_subproblem(ch, pr, problem)
-        rates = _evaluate(ch, pr, alloc)
-        trace.append(rates.sum_rate)
-        if trace[-1] - trace[-2] < settings.rate_tolerance:
-            converged = True
-            break
-    return Solution(alloc, pr, rates, tuple(trace), converged)
+    pr, trace = solve_phase_subproblem(ch, problem, warm_start_pr=warm_start_pr)
+    alloc, rates = _evaluate(ch, pr, problem)
+    return Solution(alloc, pr, rates, trace, len(trace) <= _PHASE_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +435,7 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
         return _exposed(u @ ch.g_ris_user, h_norms, ch.h_sat_ris, bs)
 
     def rate(c):
-        gains = np.abs(ch.h_direct + c) ** 2
-        alpha_far, r_n, r_f = _split(problem, gains.max(axis=-1), gains.min(axis=-1),
-                                     ch.noise_mw)
-        shortfall = (np.maximum(problem.min_rate_near - r_n, 0.0)
-                     + np.maximum(problem.min_rate_far - r_f, 0.0))
-        return np.where(np.isnan(alpha_far), -shortfall, r_n + r_f)
+        return _score(problem, np.abs(ch.h_direct + c) ** 2, ch.noise_mw)[0]
 
     n_t, n_p, n_a = _DIRECTION_POINTS if np.any(ch.h_direct) else _DIRECTION_POINTS[:2] + (1,)
     t, p, a = np.meshgrid((np.arange(n_t) + 0.5) * (np.pi / 2.0 / n_t),
@@ -518,6 +467,5 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     v = image(chart(x[:, None, :])[int(np.argmax(f)), 0])
     pr = PhaseResponse.reflective(
         _surface_with_image(np.eye(spec.num_elements, dtype=complex), ch.h_sat_ris, v, bs))
-    alloc = solve_power_subproblem(ch, pr, problem)
-    rates = _evaluate(ch, pr, alloc)
+    alloc, rates = _evaluate(ch, pr, problem)
     return Solution(alloc, pr, rates, (rates.sum_rate,), True)

@@ -17,7 +17,7 @@ from bdris.channel import (GeometryParams, LinkBudgetParams, draw_realization,
 from bdris.experiments import (SweepSpec, emit_csv, oracle_report, oracle_suite,
                                run_element_sweep, run_power_sweep, solve_pair)
 from bdris.noma import min_power_split_for_far_rate
-from bdris.optimizer import BcdSettings, ProblemSpec
+from bdris.optimizer import ProblemSpec
 from bdris.surfaces import (ARCHITECTURES, MODES, RisSpec, hardware_complexity,
                             project_feasible, random_feasible, validate)
 
@@ -137,8 +137,7 @@ def test_criterion_2_component_count_exactness():
 
 def test_criterion_3_oracle_agreement():
     started = time.monotonic()
-    lines, passed = oracle_report(oracle_suite(GEOMETRY, LINK_BUDGET, 20.0, BASE_SEED,
-                                               BcdSettings()))
+    lines, passed = oracle_report(oracle_suite(GEOMETRY, LINK_BUDGET, 20.0, BASE_SEED))
     elapsed = time.monotonic() - started
     ok = passed and elapsed < 120.0
     assert report(

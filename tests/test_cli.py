@@ -130,7 +130,7 @@ class TestSolveOne:
         code, out, _ = run(capsys, *self.ARGS, "solve-one")
         assert code == 0
         assert "scheme=CD_RIS" in out and "scheme=BD_RIS" in out
-        assert "sum_rate=" in out and "converged=" in out
+        assert "sum_rate=" in out and "steps=" in out and "converged=" in out
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, *self.ARGS, "solve-one")
@@ -145,6 +145,26 @@ class TestSolveOne:
     def test_infeasible_exit_1(self, capsys):
         code, _, err = run(capsys, *self.ARGS, "--set", "min_rate_far=1.0", "solve-one")
         assert code == 1 and "infeasible" in err
+
+    def test_binding_far_floor_solves_both_schemes(self, capsys):
+        # out of reach at the identity, reached by both optima
+        code, out, _ = run(capsys, "--set", "min_rate_far=1.6e-13", "solve-one")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert [line.split()[0] for line in lines] == ["scheme=CD_RIS", "scheme=BD_RIS"]
+        for line in lines:
+            fields = dict(item.split("=") for item in line.split())
+            assert float(fields["rate_far"]) >= 1.6e-13
+
+    def test_near_floor_below_1e_12_exit_1(self, capsys):
+        code, out, err = run(capsys, "--set", "min_rate_near=9e-13", "solve-one")
+        assert code == 1 and out == ""
+        assert "scheme=CD_RIS infeasible" in err and "scheme=BD_RIS infeasible" in err
+
+    @pytest.mark.parametrize("key", ["bcd_max_iters", "bcd_rate_tol"])
+    def test_removed_solver_keys_are_unknown(self, capsys, key):
+        code, out, err = run(capsys, "--set", f"{key}=1", "solve-one")
+        assert code == 2 and out == "" and f"unknown key '{key}'" in err
 
     def test_non_reflective_mode_exit_2(self, capsys):
         code, _, err = run(capsys, "--set", "mode=hybrid", "solve-one")

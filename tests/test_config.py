@@ -4,9 +4,8 @@ import dataclasses
 
 import pytest
 
-from bdris.config import (ConfigError, SimConfig, apply_overrides,
-                          bcd_settings_from, echo_config, geometry_from,
-                          link_budget_from, load_config, ris_spec_from,
+from bdris.config import (ConfigError, SimConfig, apply_overrides, echo_config,
+                          geometry_from, link_budget_from, load_config, ris_spec_from,
                           validate_config)
 
 
@@ -74,7 +73,6 @@ class TestValidation:
         ("rician_k", "-1"), ("num_elements", "0"), ("architecture", "mesh"),
         ("group_count", "0"), ("sector_count", "1"), ("mode", "standby"),
         ("min_rate_near", "-0.5"), ("trials", "0"), ("base_seed", "-1"),
-        ("bcd_max_iters", "0"), ("bcd_rate_tol", "0"),
     ])
     def test_out_of_range_values_name_the_key(self, tmp_path, key, value):
         path = tmp_path / "bad.cfg"
@@ -178,7 +176,7 @@ class TestEchoRoundTrip:
 
     def test_modified_config_round_trips(self, tmp_path):
         cfg = apply_overrides(SimConfig(), [
-            "include_direct=true", "bcd_rate_tol=1e-06", "architecture=group",
+            "include_direct=true", "min_rate_far=1e-06", "architecture=group",
             "group_count=4", "num_elements=16", "out_dir=results/run1",
             "noise_dbm=-84.5",
         ])
@@ -209,8 +207,3 @@ class TestBuilders:
             ris_spec_from(cfg)
         ok = apply_overrides(SimConfig(), ["architecture=group", "group_count=8"])
         assert ris_spec_from(ok).block_size == 10
-
-    def test_bcd_settings_mapping(self):
-        cfg = apply_overrides(SimConfig(), ["bcd_max_iters=9", "bcd_rate_tol=0.5"])
-        settings = bcd_settings_from(cfg)
-        assert settings.max_outer_iters == 9 and settings.rate_tolerance == 0.5

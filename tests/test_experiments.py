@@ -200,9 +200,9 @@ class TestSolvePair:
         calls = []
         solve = experiments.bcd_solve
 
-        def recording(ch, problem, settings, warm_start_pr=None):
+        def recording(ch, problem, warm_start_pr=None):
             calls.append((problem.scheme, warm_start_pr))
-            return solve(ch, problem, settings, warm_start_pr=warm_start_pr)
+            return solve(ch, problem, warm_start_pr=warm_start_pr)
 
         monkeypatch.setattr(experiments, "bcd_solve", recording)
         return calls

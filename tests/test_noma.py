@@ -157,3 +157,16 @@ class TestMinPowerSplit:
             a = min_power_split_for_far_rate(r_min, p, g_w, noise)
             achieved = np.log2(1.0 + p * a * g_w / (p * (1 - a) * g_w + noise))
             assert achieved == pytest.approx(r_min, rel=1e-10)
+
+    @pytest.mark.parametrize("r_min", [1e-13, 1e-10, 1e-6, 0.5, 3.0])
+    def test_split_meets_satellite_scale_floors(self, r_min):
+        # 2^r - 1 keeps only a few digits at r ~ 1e-13; the split must still
+        # deliver the floor to 1e-12, from where it only just fits in full
+        # power (SNR 1.001 (2^r - 1)) to where it is easy (SNR 1e8 (2^r - 1))
+        p, noise = 100.0, 1e-12
+        snrs = np.expm1(r_min * np.log(2.0)) * np.geomspace(1.001, 1e8, 60)
+        g_w = snrs * noise / p
+        a = min_power_split_for_far_rate(r_min, p, g_w, noise)
+        assert np.all(a <= 1.0)
+        _, rate_far = sic_rates(p, 1.0 - a, a, 2.0 * g_w, g_w, noise)
+        assert np.all(rate_far >= r_min * (1.0 - 1e-12))

@@ -1,22 +1,20 @@
-"""Power split, phase ascent, the alternating solver, and the exact
+"""Power split, the direction ascent, the solver, and the exact
 direction-search oracle."""
 
-import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdris import optimizer
 from bdris.channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                            draw_realization, effective_channel)
+from bdris.config import SimConfig, geometry_from, link_budget_from
 from bdris.noma import (NomaAllocation, achievable_rates, min_power_split_for_far_rate,
                         order_users, sic_rates)
-from bdris.optimizer import (BcdSettings, InfeasibleAllocationError, ProblemSpec,
-                             Solution, bcd_solve, exact_oracle,
-                             solve_phase_subproblem, solve_power_subproblem,
-                             _align_global_phase, _ascend, _exposed, _Objective,
-                             _surface_with_image)
+from bdris.optimizer import (InfeasibleAllocationError, ProblemSpec, Solution, bcd_solve,
+                             exact_oracle, solve_phase_subproblem, solve_power_subproblem,
+                             _exposed, _score, _surface_with_image)
 from bdris.surfaces import (PhaseResponse, RisSpec, project_feasible, random_feasible,
                             validate)
 
@@ -60,19 +58,6 @@ class TestProblemSpec:
             ProblemSpec(RisSpec(4, "full", "hybrid"))
         with pytest.raises(ValueError):
             ProblemSpec(RisSpec(4), min_rate_far=-1.0)
-
-
-class TestBcdSettings:
-    def test_defaults(self):
-        s = BcdSettings()
-        assert [f.name for f in dataclasses.fields(s)] == ["max_outer_iters", "rate_tolerance"]
-        assert s.max_outer_iters == 50 and s.rate_tolerance == 1e-4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BcdSettings(max_outer_iters=0)
-        with pytest.raises(ValueError):
-            BcdSettings(rate_tolerance=0.0)
 
 
 class TestPowerSubproblem:
@@ -127,23 +112,36 @@ class TestPowerSubproblem:
         assert alloc_rate >= best - 1e-9
 
 
-class TestRateWeights:
-    def test_match_finite_difference_of_the_objective(self):
-        # two users either way round, a near tie, and a lone user, which is
-        # both the strong and the weak user
-        ch = unit_channel(2)
-        for gains, split in (([2.0, 0.5], 0.6), ([0.3, 1.9], 0.5), ([1.0, 1.0 + 1e-3], 0.8),
-                             ([0.7], 1.0), ([0.7], 0.6)):
+class TestScore:
+    @pytest.mark.parametrize("near,far", [(0.0, 0.0), (0.0, 1.0), (0.0, 3.0), (2.0, 0.0),
+                                          (5.0, 1.0), (0.0, 9.0)])
+    def test_slope_is_the_total_derivative(self, near, far):
+        # the split moves with the gains: with a binding far floor (0, 1) the
+        # weak user's slope is the near rate bought by the power it frees; far
+        # (0, 3), near (2, 0) and both (5, 1) floors that are missed score
+        # minus the shortfall. Two users either way round, a near tie, and a
+        # lone user, which is both the strong and the weak user
+        problem = ProblemSpec(RisSpec(1), 10.0, min_rate_near=near, min_rate_far=far)
+        for gains in ([2.0, 0.5], [0.3, 1.9], [1.0, 1.0 + 1e-3], [0.9], [40.0, 3.0]):
             gains = np.array(gains)
-            alloc = NomaAllocation(10.0, 1.0 - split, split)
-            obj = _Objective(ch, alloc)
-            weights = obj.rate_weights(gains)
+            score, slope = _score(problem, gains, 1.0)
             for u in range(len(gains)):
                 step = np.zeros_like(gains)
                 step[u] = 1e-6 * gains[u]
-                fd = (obj.sum_rate_of_gains(gains + step)
-                      - obj.sum_rate_of_gains(gains - step)) / (2 * step[u])
-                assert weights[u] == pytest.approx(fd, rel=1e-6)
+                fd = (_score(problem, gains + step, 1.0)[0]
+                      - _score(problem, gains - step, 1.0)[0]) / (2 * step[u])
+                assert slope[u] == pytest.approx(fd, rel=1e-6, abs=1e-9 * abs(score))
+
+    def test_score_is_the_closed_form_split_rate_or_minus_the_shortfall(self):
+        gains = np.array([[2.0, 0.5], [0.5, 2.0]])
+        free = _score(ProblemSpec(RisSpec(1), 10.0), gains, 1.0)[0]
+        assert np.allclose(free, sum(sic_rates(10.0, 0.5, 0.5, 2.0, 0.5, 1.0)), rtol=1e-15)
+        # p g_w = 5 and r = 1 give alpha_far* = 0.6 (TestPowerSubproblem)
+        floor = _score(ProblemSpec(RisSpec(1), 10.0, min_rate_far=1.0), gains, 1.0)[0]
+        assert np.allclose(floor, sum(sic_rates(10.0, 0.4, 0.6, 2.0, 0.5, 1.0)), rtol=1e-12)
+        # an unreachable far floor clips the split to 1: the far rate falls short
+        missed = _score(ProblemSpec(RisSpec(1), 10.0, min_rate_far=5.0), gains, 1.0)[0]
+        assert np.allclose(missed, np.log2(6.0) - 5.0, rtol=1e-15)
 
 
 def block_specs():
@@ -212,62 +210,15 @@ class TestExposedPoint:
                 scaled = _exposed(scale * q, block_norms(h, bs), h, bs)
                 assert np.linalg.norm(scaled - v) < 1e-12 * np.linalg.norm(h)
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([(k, 0) for k in range(1, 13)]
-                           + [(k, 1) for k in range(2, 13)]
-                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
-                              if k % g == 0]),
-           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
-           st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), st.booleans())
-    def test_one_step_never_lowers_the_surrogate(self, shape, seed, direct, weights,
-                                                 aligned):
-        # f is convex with weights >= 0 and the exposed point maximizes its
-        # linear minorant, so one step followed by the global-phase line
-        # search cannot lower it: the ascent's stopping rule relies on this
-        k, g = shape
-        spec = (RisSpec(k, "single") if g == 0 else RisSpec(k, "full") if g == 1
-                else RisSpec(k, "group", group_count=g))
-        bs = spec.block_size
-        ch = unit_channel(k, seed=seed, direct_scale=direct)
-        obj = _Objective(ch, NomaAllocation(10.0, 0.5, 0.5))
-        weights = np.array(weights)
-        v = random_feasible(spec, seed).phi @ obj.h
-        e = obj.eff(v)
-        if aligned:
-            v, e = _align_global_phase(v, e, obj, weights)
-        f_before = np.sum(weights * np.abs(e) ** 2)
-        stepped = _exposed((weights * e) @ obj.g, block_norms(obj.h, bs), v, bs)
-        _, e_after = _align_global_phase(stepped, obj.eff(stepped), obj, weights)
-        assert np.sum(weights * np.abs(e_after) ** 2) >= f_before * (1.0 - 1e-12)
-
-    @pytest.mark.parametrize("spec,direct", [
-        (RisSpec(80, "single"), False),
-        (RisSpec(80, "full"), False),
-        (RisSpec(80, "group", group_count=16), True),
-    ])
-    def test_converged_ascent_takes_one_step(self, monkeypatch, spec, direct):
-        ch = draw_realization(GeometryParams(), LinkBudgetParams(), 80, num_users=2,
-                              include_direct=direct, rng=np.random.default_rng(3))
-        problem = ProblemSpec(spec, power_dbm=10.0)
-        identity = PhaseResponse.reflective(np.eye(80, dtype=complex))
-        obj = _Objective(ch, solve_power_subproblem(ch, identity, problem))
-        bs = spec.block_size
-        h_norms = block_norms(obj.h, bs)
-        weights = obj.rate_weights(np.abs(obj.eff(obj.h)) ** 2)
-        start = _exposed(ch.g_ris_user[0], h_norms, obj.h, bs)
-        end, rate = _ascend(start, obj, weights, h_norms, bs)
-
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _exposed(*args)
-
-        monkeypatch.setattr(optimizer, "_exposed", counted)
-        again, rate_again = _ascend(end, obj, weights, h_norms, bs)
-        assert len(calls) == 1
-        assert rate_again == pytest.approx(rate, rel=1e-12)
-        assert obj.sum_rate(obj.eff(again)) == pytest.approx(rate, rel=1e-12)
+    def test_one_fallback_per_direction(self):
+        rng = np.random.default_rng(14)
+        for spec in block_specs():
+            k, bs = spec.num_elements, spec.block_size
+            q, h, fallback = cn(rng, 3 * k).reshape(3, k), cn(rng, k), cn(rng, 3 * k).reshape(3, k)
+            q[1, :bs] = 0.0
+            batch = _exposed(q, block_norms(h, bs), fallback, bs)
+            for i in range(3):
+                assert np.array_equal(batch[i], _exposed(q[i], block_norms(h, bs), fallback[i], bs))
 
 
 class TestSurfaceWithImage:
@@ -304,154 +255,186 @@ class TestSurfaceWithImage:
             assert np.linalg.norm(phi @ h - v) < 1e-14 * np.linalg.norm(v)
             assert np.array_equal(phi[2 * bs:], base[2 * bs:])
 
+    def test_diagonal_surface_turns_each_row_by_its_phase_alone(self):
+        # a one-element block has no direction to move: each row of base is
+        # multiplied by z_k = conj(w_k) v_k/|w_k v_k| and nothing else, and rows
+        # whose image did not move stay
+        rng = np.random.default_rng(15)
+        for k in (1, 3, 80):
+            spec = RisSpec(k, "single")
+            base, h = random_feasible(spec, rng).phi, cn(rng, k)
+            w = base @ h
+            v = _exposed(cn(rng, k), np.abs(h), h, 1)
+            v[-1] = w[-1]
+            c = w.conj() * v
+            phi = _surface_with_image(base, w, v, 1)
+            assert np.array_equal(phi[:-1], base[:-1] * (c / np.abs(c))[:-1, None])
+            assert np.array_equal(phi[-1], base[-1])
+            assert validate(PhaseResponse.reflective(phi), spec, eps_feas=1e-13).is_feasible
+
 
 class TestPhaseSubproblem:
     def test_single_user_reaches_coherent_bound(self):
         for seed in range(5):
             ch = unit_channel(8, users=1, direct_scale=1.0, seed=seed)
             problem = ProblemSpec(RisSpec(8, "full", "reflective"), power_dbm=10.0)
-            alloc = NomaAllocation(problem.power_mw, 0.0, 1.0)
-            pr = solve_phase_subproblem(ch, alloc, problem)
+            pr, _ = solve_phase_subproblem(ch, problem)
             gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (pr.phi @ ch.h_sat_ris))
             bound = abs(ch.h_direct[0]) + np.linalg.norm(ch.g_ris_user[0]) * np.linalg.norm(ch.h_sat_ris)
             assert gain >= 0.999 * bound
             assert gain <= bound * (1 + 1e-9)
 
-    @pytest.mark.parametrize("k", [2, 3, 8, 80])
-    def test_full_surface_reaches_the_closed_form_surrogate_maximum(self, k):
-        # without a direct link, max over |v| = |h| of sum_u w_u |g_u^H v|^2
-        # is |h|^2 lambda_max(W^1/2 G^H G W^1/2), G = [g_1 g_2]. Satellite
-        # scale: there the returned Phi, the best image by true rate, is also
-        # the surrogate's maximizer (at unit scale the two part by up to 4e-4)
-        problem = ProblemSpec(RisSpec(k, "full"), power_dbm=10.0)
-        identity = PhaseResponse.reflective(np.eye(k, dtype=complex))
-        for seed in range(10):
-            ch = draw_realization(GeometryParams(), LinkBudgetParams(), k, num_users=2,
-                                  rng=np.random.default_rng(seed))
-            alloc = solve_power_subproblem(ch, identity, problem)
-            obj = _Objective(ch, alloc)
-            weights = obj.rate_weights(np.abs(obj.eff(obj.h)) ** 2)
-            a = np.sqrt(weights)[:, None] * obj.gc          # rows sqrt(w_u) g_u^H
-            bound = np.linalg.norm(obj.h) ** 2 * np.linalg.eigvalsh(a @ a.conj().T)[-1]
-            pr = solve_phase_subproblem(ch, alloc, problem)
-            f = np.sum(weights * np.abs(obj.eff(pr.phi @ obj.h)) ** 2)
-            assert f == pytest.approx(bound, rel=1e-11, abs=0.0)
-
     def test_diagonal_single_user_aligns_every_element(self):
         ch = unit_channel(6, users=1, seed=3)
         problem = ProblemSpec(RisSpec(6, "single", "reflective"), power_dbm=10.0)
-        alloc = NomaAllocation(problem.power_mw, 0.0, 1.0)
-        pr = solve_phase_subproblem(ch, alloc, problem)
+        pr, _ = solve_phase_subproblem(ch, problem)
         gain = abs(ch.g_ris_user[0].conj() @ (pr.phi @ ch.h_sat_ris))
         bound = np.sum(np.abs(ch.g_ris_user[0]) * np.abs(ch.h_sat_ris))
         assert gain >= 0.999 * bound
 
     def test_returned_point_feasible_for_every_architecture(self):
         ch = unit_channel(12, seed=9)
-        alloc = NomaAllocation(10.0, 0.5, 0.5)
         for spec in (RisSpec(12, "single"), RisSpec(12, "full"),
                      RisSpec(12, "group", group_count=3)):
-            pr = solve_phase_subproblem(ch, alloc, ProblemSpec(spec, 10.0))
+            pr, _ = solve_phase_subproblem(ch, ProblemSpec(spec, 10.0))
             assert validate(pr, spec).is_feasible
 
     def test_never_below_warm_start_sum_rate(self):
+        # without minimum rates the closed-form split is the even one
+        alloc = NomaAllocation(10.0, 0.5, 0.5)
         for seed in range(8):
             ch = unit_channel(4, seed=seed, direct_scale=0.7)
-            alloc = NomaAllocation(10.0, 0.5, 0.5)
             problem = ProblemSpec(RisSpec(4, "full"), 10.0)
             warm = random_feasible(RisSpec(4, "full"), seed + 100)
+            pr, _ = solve_phase_subproblem(ch, problem, warm_start_pr=warm)
+            assert (sum_rate_at(ch, pr, alloc).sum_rate
+                    >= sum_rate_at(ch, warm, alloc).sum_rate - 1e-12)
 
-            def sum_rate(pr):
-                h_effs = [effective_channel(ch, pr, u) for u in range(2)]
-                s, w = order_users(h_effs)
-                return achievable_rates(alloc, h_effs[s], h_effs[w], ch.noise_mw).sum_rate
-
-            pr = solve_phase_subproblem(ch, alloc, problem, warm_start_pr=warm)
-            assert sum_rate(pr) >= sum_rate(warm) - 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([(k, 1) for k in range(2, 13)]
-                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
-                              if k % g == 0]),
-           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
-           st.floats(0.5, 1.0))
-    def test_property_feasible_and_never_below_warm_start(self, shape, seed, direct,
-                                                          alpha_far):
-        k, g = shape
-        spec = RisSpec(k, "full") if g == 1 else RisSpec(k, "group", group_count=g)
-        ch = unit_channel(k, seed=seed, direct_scale=direct)
-        alloc = NomaAllocation(10.0, 1.0 - alpha_far, alpha_far)
-        warm = random_feasible(spec, seed)
-
-        def sum_rate(pr):
-            h_effs = [effective_channel(ch, pr, u) for u in range(2)]
-            s, w = order_users(h_effs)
-            return achievable_rates(alloc, h_effs[s], h_effs[w], ch.noise_mw).sum_rate
-
-        pr = solve_phase_subproblem(ch, alloc, ProblemSpec(spec, 10.0), warm_start_pr=warm)
-        assert validate(pr, spec).is_feasible
-        assert sum_rate(pr) >= sum_rate(warm) * (1.0 - 1e-12)
+    @pytest.mark.parametrize("spec,direct", [
+        (RisSpec(80, "single"), False),
+        (RisSpec(80, "full"), False),
+        (RisSpec(80, "group", group_count=16), True),
+    ])
+    def test_solved_phases_are_a_fixed_point(self, spec, direct):
+        # every start stops where no exposed-point step raises its score, so
+        # starting again from the built Phi finds nothing better
+        ch = draw_realization(GeometryParams(), LinkBudgetParams(), 80, num_users=2,
+                              include_direct=direct, rng=np.random.default_rng(3))
+        problem = ProblemSpec(spec, power_dbm=10.0)
+        pr, trace = solve_phase_subproblem(ch, problem)
+        again, trace_again = solve_phase_subproblem(ch, problem, warm_start_pr=pr)
+        assert trace_again[-1] == pytest.approx(trace[-1], rel=1e-12)
+        assert validate(again, spec).is_feasible
 
     def test_rejects_non_reflective_warm_start(self):
         ch = unit_channel(4)
-        alloc = NomaAllocation(10.0, 0.5, 0.5)
         warm = PhaseResponse.transmissive(np.eye(4))
         with pytest.raises(ValueError):
-            solve_phase_subproblem(ch, alloc, ProblemSpec(RisSpec(4), 10.0),
-                                   warm_start_pr=warm)
+            solve_phase_subproblem(ch, ProblemSpec(RisSpec(4), 10.0), warm_start_pr=warm)
+
+
+def default_draw():
+    """The realization `bdris solve-one` solves at the default configuration."""
+    cfg = SimConfig()
+    return draw_realization(geometry_from(cfg), link_budget_from(cfg), cfg.num_elements,
+                            num_users=2, include_direct=cfg.include_direct,
+                            rng=np.random.default_rng([cfg.base_seed, 0, 0]))
+
+
+def any_spec(k, g):
+    """Diagonal (g = 0), fully connected (g = 1) or g groups."""
+    return (RisSpec(k, "single") if g == 0 else RisSpec(k, "full") if g == 1
+            else RisSpec(k, "group", group_count=g))
 
 
 class TestBcdSolve:
-    def test_trace_monotone_and_converged(self):
+    def test_trace_rising_and_converged(self):
         for seed in range(6):
             ch = unit_channel(8, seed=seed, direct_scale=0.5)
-            solution = bcd_solve(ch, ProblemSpec(RisSpec(8, "full"), 10.0), BcdSettings())
-            diffs = np.diff(solution.trace)
-            assert np.all(diffs >= -1e-12)
+            solution = bcd_solve(ch, ProblemSpec(RisSpec(8, "full"), 10.0))
+            assert np.all(np.diff(solution.trace) > 0.0)
             assert solution.converged
             assert isinstance(solution, Solution)
-
-    def test_single_iteration_keeps_warm_phases(self):
-        ch = unit_channel(4, seed=1)
-        settings = BcdSettings(max_outer_iters=1)
-        solution = bcd_solve(ch, ProblemSpec(RisSpec(4, "full"), 10.0), settings)
-        assert len(solution.trace) == 1
-        assert not solution.converged
-        assert np.array_equal(solution.phase.phi, np.eye(4))
+            # the ascent's score is the sum rate the built Phi delivers
+            assert solution.rates.sum_rate == pytest.approx(solution.trace[-1], rel=1e-12)
 
     def test_deterministic(self):
         ch = unit_channel(8, seed=2)
         problem = ProblemSpec(RisSpec(8, "full"), 10.0)
-        a = bcd_solve(ch, problem, BcdSettings())
-        b = bcd_solve(ch, problem, BcdSettings())
+        a = bcd_solve(ch, problem)
+        b = bcd_solve(ch, problem)
         assert a.rates.sum_rate == b.rates.sum_rate
         assert np.array_equal(a.phase.phi, b.phase.phi)
 
     def test_dominates_conventional_baseline(self):
         for seed in range(5):
             ch = unit_channel(16, seed=seed)
-            cd = bcd_solve(ch, ProblemSpec(RisSpec(16, "full"), 10.0, scheme="CD_RIS"),
-                           BcdSettings())
+            cd = bcd_solve(ch, ProblemSpec(RisSpec(16, "full"), 10.0, scheme="CD_RIS"))
             bd = bcd_solve(ch, ProblemSpec(RisSpec(16, "full"), 10.0, scheme="BD_RIS"),
-                           BcdSettings(), warm_start_pr=cd.phase)
+                           warm_start_pr=cd.phase)
             assert bd.rates.sum_rate >= cd.rates.sum_rate - 1e-12
 
     def test_group_architecture_phases_feasible(self):
         ch = unit_channel(8, seed=6)
         spec = RisSpec(8, "group", "reflective", group_count=2)
-        solution = bcd_solve(ch, ProblemSpec(spec, 10.0), BcdSettings())
+        solution = bcd_solve(ch, ProblemSpec(spec, 10.0))
         assert validate(solution.phase, spec).is_feasible
 
     def test_infeasible_minimum_rates_propagate(self):
         ch = unit_channel(4, seed=7)
         problem = ProblemSpec(RisSpec(4, "full"), 10.0, min_rate_far=60.0)
         with pytest.raises(InfeasibleAllocationError):
-            bcd_solve(ch, problem, BcdSettings())
+            bcd_solve(ch, problem)
 
     def test_requires_two_users(self):
         ch = unit_channel(4, users=1)
         with pytest.raises(ValueError):
-            bcd_solve(ch, ProblemSpec(RisSpec(4), 10.0), BcdSettings())
+            bcd_solve(ch, ProblemSpec(RisSpec(4), 10.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
+                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
+                              if k % g == 0]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
+           st.sampled_from([0.0, 0.3, 0.9]))
+    def test_property_floors_met_and_never_below_warm_start(self, shape, seed, direct, reach):
+        # the far floor is 0, or a share of the weak user's rate at the warm
+        # start with all the power, so the warm start is feasible
+        spec = any_spec(*shape)
+        ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct)
+        warm = random_feasible(spec, seed)
+        weak = min(abs(effective_channel(ch, warm, u)) ** 2 for u in range(2))
+        floor = reach * np.log2(1.0 + 10.0 * weak / ch.noise_mw)
+        problem = ProblemSpec(spec, 10.0, min_rate_far=floor)
+        start = sum_rate_at(ch, warm, solve_power_subproblem(ch, warm, problem))
+        solution = bcd_solve(ch, problem, warm_start_pr=warm)
+        assert validate(solution.phase, spec).is_feasible
+        assert solution.rates.sum_rate >= start.sum_rate * (1.0 - 1e-12)
+        assert solution.rates.rate_far >= floor * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("floor", [1e-13, 1.6e-13])
+    def test_binding_far_floor_reaches_the_oracle_on_the_default_draw(self, floor):
+        # both floors bind at the optimum, and 1.6e-13 bps/Hz is out of reach
+        # at the identity; the ascent must follow the split as it moves
+        ch = default_draw()
+        problem = ProblemSpec(RisSpec(80, "full"), 20.0, min_rate_far=floor)
+        cd = bcd_solve(ch, replace(problem, scheme="CD_RIS"))
+        bd = bcd_solve(ch, problem, warm_start_pr=cd.phase)
+        for solution, scheme in ((cd, "CD_RIS"), (bd, "BD_RIS")):
+            assert solution.rates.rate_far >= floor * (1.0 - 1e-12)
+            assert solution.allocation.alpha_far > 0.5
+            reference = exact_oracle(ch, replace(problem, scheme=scheme)).rates.sum_rate
+            assert solution.rates.sum_rate >= reference * (1.0 - 1e-8)
+
+    def test_near_floor_below_1e_12_is_enforced(self):
+        # every rate at the default link budget is below 1e-12 bps/Hz
+        ch = default_draw()
+        problem = ProblemSpec(RisSpec(80, "full"), 20.0, min_rate_near=9e-13)
+        for scheme in ("CD_RIS", "BD_RIS"):
+            with pytest.raises(InfeasibleAllocationError):
+                bcd_solve(ch, replace(problem, scheme=scheme))
+            with pytest.raises(InfeasibleAllocationError):
+                exact_oracle(ch, replace(problem, scheme=scheme))
 
 
 def sum_rate_at(ch, pr, alloc):
@@ -460,12 +443,41 @@ def sum_rate_at(ch, pr, alloc):
     return achievable_rates(alloc, h_effs[s], h_effs[w], ch.noise_mw)
 
 
+def eigen_sweep_optimum(ch, problem):
+    """Best sum rate of a fully connected surface without direct links or
+    minimum rates, independent of the exposed-point map. The reachable gains
+    (|g_1^H v|^2, |g_2^H v|^2), |v| = |h|, are |h|^2 times the joint numerical
+    range of g_1 g_1^H and g_2 g_2^H, which is convex (Toeplitz-Hausdorff);
+    the top eigenvectors of lam g_1 g_1^H + (1 - lam) g_2 g_2^H sweep its
+    upper boundary, and the sum rate rises with both gains. The matrices
+    act on span{g_1, g_2}, so the sweep runs on their 2 x 2 compressions."""
+    basis = np.linalg.qr(ch.g_ris_user.T)[0]                 # K x 2, orthonormal
+    g = ch.g_ris_user @ basis.conj()                          # rows (basis^H g_u)^T
+    outer = np.einsum("ui,uj->uij", g, g.conj())
+
+    def swept(lams):
+        top = np.linalg.eigh(lams[:, None, None] * outer[0]
+                             + (1.0 - lams)[:, None, None] * outer[1])[1][..., -1]
+        gains = (np.linalg.norm(ch.h_sat_ris) ** 2 * np.abs(top @ g.conj().T) ** 2)
+        # with no minimum rates the optimal split is alpha_far = 1/2
+        return sum(sic_rates(problem.power_mw, 0.5, 0.5, gains.max(axis=1),
+                             gains.min(axis=1), ch.noise_mw))
+
+    lams, width = np.linspace(0.0, 1.0, 2001), 1e-3
+    for _ in range(6):
+        rates = swept(lams)
+        centre = lams[np.argmax(rates)]
+        lams = np.clip(np.linspace(centre - width, centre + width, 41), 0.0, 1.0)
+        width /= 10.0
+    return rates.max()
+
+
 class TestExactOracle:
     def test_solver_matches_oracle_on_diagonal_k2(self):
         problem = ProblemSpec(RisSpec(2, "single"), power_dbm=10.0)
         for seed in range(6):
             ch = unit_channel(2, seed=seed, direct_scale=(0.0 if seed % 2 else 1.0))
-            solved = bcd_solve(ch, problem, BcdSettings())
+            solved = bcd_solve(ch, problem)
             reference = exact_oracle(ch, problem)
             assert solved.rates.sum_rate >= 0.98 * reference.rates.sum_rate
 
@@ -526,7 +538,7 @@ class TestExactOracle:
             rng = np.random.default_rng(seed)
             ch = draw_realization(geom, lb, 2, num_users=2,
                                   include_direct=bool(seed % 2), rng=rng)
-            solved = bcd_solve(ch, problem, BcdSettings())
+            solved = bcd_solve(ch, problem)
             reference = exact_oracle(ch, problem)
             assert solved.rates.sum_rate >= 0.98 * reference.rates.sum_rate
 
@@ -540,10 +552,8 @@ class TestExactOracle:
                                                 alpha_far, min_rate_far):
         # a reference independent of the exposed-point map: any feasible
         # surface with any full-power split
-        k, g = shape
-        spec = (RisSpec(k, "single") if g == 0 else RisSpec(k, "full") if g == 1
-                else RisSpec(k, "group", group_count=g))
-        ch = unit_channel(k, seed=seed, direct_scale=direct, noise=noise)
+        spec = any_spec(*shape)
+        ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct, noise=noise)
         problem = ProblemSpec(spec, 10.0, min_rate_far=min_rate_far)
         point = sum_rate_at(ch, random_feasible(spec, seed),
                             NomaAllocation(problem.power_mw, 1.0 - alpha_far, alpha_far))
@@ -560,33 +570,22 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_full_surface_matches_the_eigen_sweep(self, k):
-        # without a direct link the reachable gains (|g_1^H v|^2, |g_2^H v|^2),
-        # |v| = |h|, are |h|^2 times the joint numerical range of g_1 g_1^H and
-        # g_2 g_2^H, which is convex (Toeplitz-Hausdorff); the top eigenvectors
-        # of lam g_1 g_1^H + (1 - lam) g_2 g_2^H sweep its upper boundary. The
-        # sum rate rises with both gains, so its best point is the optimum
         problem = ProblemSpec(RisSpec(k, "full"), 10.0)
         for seed, noise in ((0, 1e-3), (1, 0.1), (2, 10.0), (3, 1.0)):
             ch = unit_channel(k, seed=seed, noise=noise)
-            outer = np.einsum("ui,uj->uij", ch.g_ris_user, ch.g_ris_user.conj())
-
-            def swept(lams):
-                top = np.linalg.eigh(lams[:, None, None] * outer[0]
-                                     + (1.0 - lams)[:, None, None] * outer[1])[1][..., -1]
-                gains = (np.linalg.norm(ch.h_sat_ris) ** 2
-                         * np.abs(top @ ch.g_ris_user.conj().T) ** 2)
-                # with no minimum rates the optimal split is alpha_far = 1/2
-                return sum(sic_rates(problem.power_mw, 0.5, 0.5, gains.max(axis=1),
-                                     gains.min(axis=1), noise))
-
-            lams, width = np.linspace(0.0, 1.0, 2001), 1e-3
-            for _ in range(6):
-                rates = swept(lams)
-                centre = lams[np.argmax(rates)]
-                lams = np.clip(np.linspace(centre - width, centre + width, 41), 0.0, 1.0)
-                width /= 10.0
             oracle = exact_oracle(ch, problem).rates.sum_rate
-            assert oracle == pytest.approx(rates.max(), rel=1e-9, abs=0.0)
+            assert oracle == pytest.approx(eigen_sweep_optimum(ch, problem), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 80])
+    def test_solver_matches_the_eigen_sweep_at_satellite_scale(self, k):
+        # the full-K check of the solver: from the CD phases, as in solve_pair
+        problem = ProblemSpec(RisSpec(k, "full"), power_dbm=10.0)
+        for seed in range(6):
+            ch = draw_realization(GeometryParams(), LinkBudgetParams(), k, num_users=2,
+                                  rng=np.random.default_rng(seed))
+            cd = bcd_solve(ch, replace(problem, scheme="CD_RIS"))
+            solved = bcd_solve(ch, problem, warm_start_pr=cd.phase).rates.sum_rate
+            assert solved == pytest.approx(eigen_sweep_optimum(ch, problem), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("k,arch,direct", [(k, arch, direct) for k in (2, 8)
                                                for arch in ("single", "full")
@@ -595,5 +594,5 @@ class TestExactOracle:
         problem = ProblemSpec(RisSpec(k, arch), 10.0)
         for seed, noise in ((0, 1e-3), (1, 0.1), (2, 10.0)):
             ch = unit_channel(k, seed=seed, direct_scale=direct, noise=noise)
-            solved = bcd_solve(ch, problem, BcdSettings()).rates.sum_rate
+            solved = bcd_solve(ch, problem).rates.sum_rate
             assert exact_oracle(ch, problem).rates.sum_rate >= solved * (1.0 - 1e-10)
