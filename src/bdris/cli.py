@@ -65,21 +65,28 @@ def _load_phase_response(path: str, spec: RisSpec) -> PhaseResponse:
         data = np.load(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read phase-response file {path}: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):      # a bare .npy array has no keys
+        raise ConfigError(f"{path}: not an .npz archive of named arrays")
+
+    def array(key):
+        if key not in data:
+            raise ConfigError(f"{path}: missing array '{key}'")
+        try:
+            value = data[key]
+        except ValueError as exc:      # e.g. an object array, which needs pickle
+            raise ConfigError(f"{path}: cannot read array '{key}': {exc}") from None
+        if value.dtype.kind not in "biufc":
+            raise ConfigError(f"{path}: array '{key}' is not numeric (dtype {value.dtype})")
+        return value
+
     try:
         if spec.mode in ("reflective", "transmissive"):
-            if "phi" not in data:
-                raise ConfigError(f"{path}: missing array 'phi'")
             ctor = (PhaseResponse.reflective if spec.mode == "reflective"
                     else PhaseResponse.transmissive)
-            return ctor(data["phi"])
+            return ctor(array("phi"))
         if spec.mode == "hybrid":
-            for key in ("phi_r", "phi_t"):
-                if key not in data:
-                    raise ConfigError(f"{path}: missing array '{key}'")
-            return PhaseResponse.hybrid(data["phi_r"], data["phi_t"])
-        if "phi_s" not in data:
-            raise ConfigError(f"{path}: missing array 'phi_s'")
-        stacked = data["phi_s"]
+            return PhaseResponse.hybrid(array("phi_r"), array("phi_t"))
+        stacked = array("phi_s")
         if stacked.ndim != 3:
             raise ConfigError(f"{path}: 'phi_s' must be a stack of square matrices")
         return PhaseResponse.multisector(list(stacked))

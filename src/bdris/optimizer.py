@@ -213,17 +213,24 @@ def _split(problem: ProblemSpec, g_s, g_w, noise: float):
 
 
 def _score(problem: ProblemSpec, gains: np.ndarray, noise: float):
-    """Score of each row of gains (..., users) and its total derivative in
-    the gains. The score is the sum rate at the closed-form split, or minus
-    the rate shortfall (near plus far, at the split clipped to 1) where no
-    split meets the minimum rates. A lone user is both strong and weak."""
-    p = problem.power_mw
+    """Score of each row of gains (..., users): the sum rate at the
+    closed-form split, or minus the rate shortfall (near plus far, at the
+    split clipped to 1) where no split meets the minimum rates. A lone user
+    is both strong and weak. Returns the score and the split it was taken at,
+    which _slope reads, so a caller that needs no slope computes none."""
     g_s, g_w = gains.max(axis=-1), gains.min(axis=-1)
     alpha_far, feasible, r_n, r_f = _split(problem, g_s, g_w, noise)
     short_f = np.maximum(problem.min_rate_far - r_f, 0.0)
     score = np.where(feasible, r_n + r_f,
                      -(np.maximum(problem.min_rate_near - r_n, 0.0) + short_f))
+    return score, (g_s, g_w, alpha_far, feasible, short_f)
 
+
+def _slope(problem: ProblemSpec, gains: np.ndarray, noise: float, split) -> np.ndarray:
+    """Total derivative of _score in the gains, at the split _score returned
+    for the same gains."""
+    p = problem.power_mw
+    g_s, g_w, alpha_far, feasible, short_f = split
     d_s, d_w = sic_rate_gradient(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
     # Where the far floor r binds, the far rate stays at r as g_w grows, and
     # alpha_far = c (1 + noise/(p g_w)), c = 1 - 2^-r, falls by
@@ -238,9 +245,8 @@ def _score(problem: ProblemSpec, gains: np.ndarray, noise: float):
                       np.where(feasible | (short_f > 0.0), d_w, 0.0))
     users = np.arange(gains.shape[-1])
     strong = np.argmax(gains, axis=-1)[..., None]   # ties go to the lower index, as in order_users
-    slope = ((users == strong) * d_s[..., None]
-             + (users == users[-1] - strong) * w_weak[..., None])
-    return score, slope
+    return ((users == strong) * d_s[..., None]
+            + (users == users[-1] - strong) * w_weak[..., None])
 
 
 def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
@@ -271,7 +277,9 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
 
     v = np.vstack([warm, _exposed(g, h_norms, h, bs)])
     e = hd + v @ gc_t
-    f, w = _score(problem, np.abs(e) ** 2, ch.noise_mw)
+    gains = np.abs(e) ** 2
+    f, split = _score(problem, gains, ch.noise_mw)
+    w = _slope(problem, gains, ch.noise_mw, split)
     history = [f]
     steps = np.zeros(len(v), dtype=int)
     active = np.ones(len(v), dtype=bool)
@@ -285,10 +293,12 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
         turn = (np.divide(z.real, mag, out=np.ones_like(mag), where=mag > 0.0)
                 - 1j * np.divide(z.imag, mag, out=np.zeros_like(mag), where=mag > 0.0))
         e_cand = hd + turn[:, None] * c
-        f_cand, w_cand = _score(problem, np.abs(e_cand) ** 2, ch.noise_mw)
+        gains = np.abs(e_cand) ** 2
+        f_cand, split = _score(problem, gains, ch.noise_mw)
         active &= f_cand > f + _IMPROVE_MARGIN * np.abs(f)
         if not active.any():
             break
+        w_cand = _slope(problem, gains, ch.noise_mw, split)
         v = np.where(active[:, None], turn[:, None] * cand, v)
         e = np.where(active[:, None], e_cand, e)
         w = np.where(active[:, None], w_cand, w)

@@ -19,7 +19,8 @@ vertically, and require the stacked tall matrix to be an isometry (A^H A = I).
 Single-connected is the block-size-1 case, where the isometry condition is
 per-element unit modulus (or a per-element power split for hybrid and
 multi-sector). Validation, random generation, and Frobenius-nearest
-projection all go through this one formulation.
+projection all work on one (block, slot*bs, bs) array of these stacks, with
+one batched product, QR or SVD over all blocks and every block size alike.
 """
 
 from __future__ import annotations
@@ -168,9 +169,25 @@ def _check_shapes(pr: PhaseResponse, spec: RisSpec) -> None:
             raise DimensionError(f"matrix slot {i} has shape {m.shape}, expected ({dim}, {dim})")
 
 
-def _block_support_mask(dim: int, block_size: int) -> np.ndarray:
-    idx = np.arange(dim) // block_size
-    return idx[:, None] == idx[None, :]
+def _blocks(mats, spec: RisSpec) -> np.ndarray:
+    """(num_blocks, depth*bs, bs): each diagonal block's slot sub-matrices,
+    stacked vertically (slot 0 on top), from (depth, dim, dim) slots."""
+    depth, nb, bs = spec.stack_depth, spec.num_blocks, spec.block_size
+    b = np.arange(nb)
+    # the block index b, split by a slice, moves to the front: (nb, depth, bs, bs)
+    stacks = np.asarray(mats).reshape(depth, nb, bs, nb, bs)[:, b, :, b, :]
+    return stacks.reshape(nb, depth * bs, bs)
+
+
+def _block_diagonal(stacks: np.ndarray, spec: RisSpec) -> np.ndarray:
+    """(depth, dim, dim) slot matrices whose diagonal blocks are the given
+    stacks and are zero elsewhere; the inverse of _blocks on block-diagonal
+    slots."""
+    depth, nb, bs, dim = spec.stack_depth, spec.num_blocks, spec.block_size, spec.matrix_dim
+    b = np.arange(nb)
+    out = np.zeros((depth, nb, bs, nb, bs), dtype=complex)
+    out[:, b, :, b, :] = stacks.reshape(nb, depth, bs, bs)
+    return out.reshape(depth, dim, dim)
 
 
 def validate(pr: PhaseResponse, spec: RisSpec, eps_feas: float = 1e-9) -> FeasibilityReport:
@@ -190,6 +207,9 @@ def validate(pr: PhaseResponse, spec: RisSpec, eps_feas: float = 1e-9) -> Feasib
         support check and all per-block stacked-isometry checks; at block
         size 1 the isometry residual is | sum_slots |phi_k|^2 - 1 |, i.e.
         unit modulus for one slot and the power split for hybrid/multi-sector.
+        A non-finite entry gives max_violation = inf, charged to the
+        constraint it sits in, and so does an isometry residual that
+        overflows.
 
     Raises
     ------
@@ -199,24 +219,16 @@ def validate(pr: PhaseResponse, spec: RisSpec, eps_feas: float = 1e-9) -> Feasib
     if eps_feas <= 0:
         raise ValueError("eps_feas must be positive")
     _check_shapes(pr, spec)
-    dim, bs = spec.matrix_dim, spec.block_size
+    m = np.stack(pr.matrices)
+    a = _blocks(m, spec)
+    if not np.isfinite(m).all():       # NaN compares false and would pass every bound below
+        label = "off_block_support" if np.isfinite(a).all() else "block_isometry"
+        return FeasibilityReport(False, np.inf, label)
 
-    off_viol = 0.0
-    if bs < dim:
-        mask = _block_support_mask(dim, bs)
-        off_viol = max(float(np.max(np.abs(m[~mask]))) for m in pr.matrices)
-
-    if bs == 1:
-        diags = np.stack([np.diagonal(m) for m in pr.matrices])      # (depth, dim)
-        iso_viol = float(np.max(np.abs(np.sum(np.abs(diags) ** 2, axis=0) - 1.0)))
-    else:
-        iso_viol = 0.0
-        eye = np.eye(bs)
-        for b in range(spec.num_blocks):
-            sl = slice(b * bs, (b + 1) * bs)
-            stacked = np.vstack([m[sl, sl] for m in pr.matrices])
-            resid = stacked.conj().T @ stacked - eye
-            iso_viol = max(iso_viol, float(np.max(np.abs(resid))))
+    off_viol = float(np.max(np.abs(m - _block_diagonal(a, spec))))
+    with np.errstate(over="ignore", invalid="ignore"):     # entries past ~1e154 overflow
+        resid = np.abs(a.conj().transpose(0, 2, 1) @ a - np.eye(spec.block_size))
+    iso_viol = float(np.max(np.nan_to_num(resid, nan=np.inf, posinf=np.inf)))
 
     max_violation = max(off_viol, iso_viol)
     if max_violation <= eps_feas:
@@ -228,113 +240,47 @@ def validate(pr: PhaseResponse, spec: RisSpec, eps_feas: float = 1e-9) -> Feasib
     return FeasibilityReport(max_violation <= eps_feas, max_violation, label)
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def _dirichlet_columns(depth: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(depth, n) nonnegative array with unit column sums, uniform on the simplex."""
-    e = rng.exponential(1.0, size=(depth, n))
-    return e / np.sum(e, axis=0, keepdims=True)
-
-
 def random_feasible(spec: RisSpec, seed) -> PhaseResponse:
     """Draw a random feasible phase response.
 
-    Distribution choices: diagonal sets draw i.i.d. uniform phases;
-    full blocks draw Haar unitaries (QR of a complex Gaussian); hybrid splits
-    per-column power as (cos b, sin b) with b ~ U(0, pi/2); multi-sector
-    scales per-sector unitaries by a uniform random power split of 1.
+    Each block's slot sub-matrices are Haar unitaries (QR of a complex
+    Gaussian; a uniform phase at block size 1) with column j scaled by c_sj,
+    sum_s c_sj^2 = 1: c = 1 for one slot, (cos b, sin b) with b ~ U(0, pi/2)
+    for hybrid, and the square root of a uniform point of the simplex for
+    multi-sector. All blocks and slots are drawn in one batch.
 
     seed may be an integer or a numpy Generator.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    dim, bs, depth = spec.matrix_dim, spec.block_size, spec.stack_depth
-
-    if bs == 1:
-        if spec.mode == "hybrid":
-            beta = rng.uniform(0.0, np.pi / 2.0, dim)
-            mags = np.stack([np.cos(beta), np.sin(beta)])
-        elif spec.mode == "multisector":
-            mags = np.sqrt(_dirichlet_columns(depth, dim, rng))
-        else:
-            mags = np.ones((1, dim))
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (depth, dim)))
-        mats = tuple(np.diag(mags[s] * phases[s]) for s in range(depth))
-        return PhaseResponse(spec.mode, mats)
-
-    mats = [np.zeros((dim, dim), dtype=complex) for _ in range(depth)]
-    for b in range(spec.num_blocks):
-        sl = slice(b * bs, (b + 1) * bs)
-        if spec.mode == "hybrid":
-            beta = rng.uniform(0.0, np.pi / 2.0, bs)
-            mats[0][sl, sl] = _haar_unitary(bs, rng) * np.cos(beta)
-            mats[1][sl, sl] = _haar_unitary(bs, rng) * np.sin(beta)
-        elif spec.mode == "multisector":
-            split = _dirichlet_columns(depth, bs, rng)
-            for s in range(depth):
-                mats[s][sl, sl] = _haar_unitary(bs, rng) * np.sqrt(split[s])
-        else:
-            mats[0][sl, sl] = _haar_unitary(bs, rng)
-    return PhaseResponse(spec.mode, tuple(mats))
-
-
-def _nearest_stacked_isometry(a: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest isometry to a tall (rows >= cols) matrix.
-
-    Full-rank inputs get the polar factor U V^H. Rank-deficient inputs are
-    completed deterministically: each null input direction is mapped through
-    the stacked identity (first slot I, other slots 0) and orthonormalized
-    against the range, falling back to the LAPACK singular basis and then to
-    canonical basis vectors if those degenerate.
-    """
-    rows, cols = a.shape
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        tol = rows * np.finfo(float).eps * s[0]
+    nb, bs, depth = spec.num_blocks, spec.block_size, spec.stack_depth
+    shape = (nb, depth, bs, bs)
+    gauss = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    q, r = np.linalg.qr(gauss)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    if spec.mode == "hybrid":
+        beta = rng.uniform(0.0, np.pi / 2.0, (nb, 1, bs))
+        scale = np.concatenate([np.cos(beta), np.sin(beta)], axis=1)
+    elif spec.mode == "multisector":
+        e = rng.exponential(1.0, (nb, depth, bs))
+        scale = np.sqrt(e / np.sum(e, axis=1, keepdims=True))
     else:
-        tol = 0.0
-    rank = int(np.sum(s > tol))
-    if rank == cols:
-        return u @ vh
-
-    w = u[:, :rank] @ vh[:rank]
-    held = [u[:, i] for i in range(rank)]
-    extra = []
-    candidates = []
-    for j in range(rank, cols):
-        v = vh[j].conj()
-        lifted = np.zeros(rows, dtype=complex)
-        lifted[:cols] = v                      # stacked-identity image of the null direction
-        candidates.append(lifted)
-    candidates.extend(u[:, j] for j in range(rank, cols))
-    candidates.extend(np.eye(rows, dtype=complex)[:, j] for j in range(rows))
-
-    for cand in candidates:
-        if len(extra) == cols - rank:
-            break
-        vec = cand.astype(complex)
-        for other in held + extra:
-            vec = vec - (other.conj() @ vec) * other
-        norm = np.linalg.norm(vec)
-        if norm > 1e-10:
-            extra.append(vec / norm)
-    for j, vec in enumerate(extra):
-        w = w + np.outer(vec, vh[rank + j])
-    return w
+        scale = np.ones((nb, 1, bs))
+    stacks = q * (d / np.abs(d) * scale)[:, :, None, :]
+    return PhaseResponse(spec.mode, tuple(_block_diagonal(stacks, spec)))
 
 
 def project_feasible(m, spec: RisSpec) -> PhaseResponse:
     """Project arbitrary matrices onto the feasible set (Frobenius-nearest).
 
-    Off-block entries are zeroed; each per-block stacked sub-matrix is
-    replaced by its nearest isometry, i.e. the polar factor
-    A (A^H A)^{-1/2}. At block size 1 this is entrywise normalization
-    (a zero stack maps to 1 in the first slot). Accepts a PhaseResponse,
-    a single matrix, or a sequence of matrices.
+    Off-block entries are zeroed; each per-block stacked sub-matrix A is
+    replaced by the polar factor U V^H of its thin SVD, a nearest isometry.
+    It equals A (A^H A)^{-1/2} and is unique when A has full column rank (at
+    block size 1, entrywise normalization of each stack). A nonzero
+    rank-deficient A keeps LAPACK's singular basis on its null space, one
+    deterministic choice among equally near isometries. An all-zero A,
+    signed zeros included, maps to the stacked identity (I in the first slot,
+    zeros below). Accepts a PhaseResponse, a single matrix, or a sequence of
+    matrices.
     """
     if isinstance(m, PhaseResponse):
         mats_in = m.matrices
@@ -344,26 +290,12 @@ def project_feasible(m, spec: RisSpec) -> PhaseResponse:
         mats_in = tuple(m)
     mats_in = tuple(np.asarray(x, dtype=complex) for x in mats_in)
     _check_shapes(PhaseResponse(spec.mode, mats_in), spec)
-    dim, bs, depth = spec.matrix_dim, spec.block_size, spec.stack_depth
-
-    if bs == 1:
-        cols = np.stack([np.diagonal(x) for x in mats_in])           # (depth, dim)
-        norms = np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))
-        safe = norms > 0.0
-        out = np.zeros_like(cols)
-        out[:, safe] = cols[:, safe] / norms[safe]
-        out[0, ~safe] = 1.0                    # zero stack: identity alignment
-        mats = tuple(np.diag(out[s]) for s in range(depth))
-        return PhaseResponse(spec.mode, mats)
-
-    mats = [np.zeros((dim, dim), dtype=complex) for _ in range(depth)]
-    for b in range(spec.num_blocks):
-        sl = slice(b * bs, (b + 1) * bs)
-        stacked = np.vstack([x[sl, sl] for x in mats_in])
-        iso = _nearest_stacked_isometry(stacked)
-        for s in range(depth):
-            mats[s][sl, sl] = iso[s * bs:(s + 1) * bs, :]
-    return PhaseResponse(spec.mode, tuple(mats))
+    a = _blocks(np.stack(mats_in), spec)
+    u, _, vh = np.linalg.svd(a, full_matrices=False)
+    iso = u @ vh
+    # the SVD of a zero stack follows the signs of its zeros; pin it instead
+    iso[~a.any(axis=(1, 2))] = np.eye(*a.shape[1:])
+    return PhaseResponse(spec.mode, tuple(_block_diagonal(iso, spec)))
 
 
 def hardware_complexity(spec: RisSpec):

@@ -122,6 +122,29 @@ class TestValidatePr:
         code, _, err = run(capsys, "validate-pr", "/nonexistent/pr.npz")
         assert code == 2 and "cannot read" in err
 
+    def test_bare_npy_array_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "pr.npy"
+        np.save(path, np.eye(6))
+        code, _, err = run(capsys, "--set", "num_elements=6", "validate-pr", str(path))
+        assert code == 2 and err.startswith("config error:") and "npz" in err
+
+    def test_non_finite_file_is_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "pr.npz"
+        np.savez(path, phi=np.full((80, 80), np.nan))
+        code, out, _ = run(capsys, "validate-pr", str(path))
+        assert code == 1
+        assert "feasible: no" in out and "max_violation: inf" in out
+
+    @pytest.mark.parametrize("phi", [np.full((6, 6), "1"), np.full((6, 6), 1.0, dtype=object)],
+                             ids=["str", "object"])
+    def test_non_numeric_array_is_a_config_error(self, tmp_path, capsys, phi):
+        path = tmp_path / "pr.npz"
+        np.savez(path, phi=phi)
+        code, out, err = run(capsys, "--set", "num_elements=6", "validate-pr", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(path) in err and "'phi'" in err
+
 
 class TestSolveOne:
     ARGS = ("--set", "num_elements=8", "--set", "trials=1")

@@ -14,7 +14,7 @@ from bdris.noma import (NomaAllocation, achievable_rates, min_power_split_for_fa
                         order_users, sic_rates)
 from bdris.optimizer import (InfeasibleAllocationError, ProblemSpec, Solution, bcd_solve,
                              exact_oracle, solve_phase_subproblem, solve_power_subproblem,
-                             _exposed, _score, _surface_with_image)
+                             _exposed, _score, _slope, _surface_with_image)
 from bdris.surfaces import (PhaseResponse, RisSpec, project_feasible, random_feasible,
                             validate)
 
@@ -124,7 +124,8 @@ class TestScore:
         problem = ProblemSpec(RisSpec(1), 10.0, min_rate_near=near, min_rate_far=far)
         for gains in ([2.0, 0.5], [0.3, 1.9], [1.0, 1.0 + 1e-3], [0.9], [40.0, 3.0]):
             gains = np.array(gains)
-            score, slope = _score(problem, gains, 1.0)
+            score, split = _score(problem, gains, 1.0)
+            slope = _slope(problem, gains, 1.0, split)
             for u in range(len(gains)):
                 step = np.zeros_like(gains)
                 step[u] = 1e-6 * gains[u]

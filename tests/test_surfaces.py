@@ -4,6 +4,7 @@ impedance-component counts."""
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from bdris.surfaces import (ARCHITECTURES, DimensionError, MODES, PhaseResponse,
                             RisSpec, hardware_complexity, project_feasible,
@@ -11,29 +12,39 @@ from bdris.surfaces import (ARCHITECTURES, DimensionError, MODES, PhaseResponse,
 
 
 def valid_specs(k_values=(2, 4, 8, 16)):
-    """Every constructible (architecture, mode, K, G, S) combination."""
+    """Every constructible (architecture, mode, K, G, S) combination: every
+    divisor G of the matrix dimension and every divisor S >= 2 of K."""
     specs = []
     for k in k_values:
-        for arch in ARCHITECTURES:
-            groups = (1,) if arch != "group" else tuple(
-                g for g in (1, 2, k) if k % g == 0)
-            for mode in MODES:
-                sectors = (2,) if mode != "multisector" else tuple(
-                    s for s in (2, 3, 4) if k % s == 0)
-                for g in groups:
-                    for s in sectors:
-                        dim = k // s if mode == "multisector" else k
-                        if arch == "group" and dim % g != 0:
-                            continue
-                        specs.append(RisSpec(k, arch, mode, g, s))
+        for mode in MODES:
+            sectors = [2] if mode != "multisector" else [s for s in range(2, k + 1) if k % s == 0]
+            for s in sectors:
+                dim = k // s if mode == "multisector" else k
+                specs += [RisSpec(k, "single", mode, 1, s), RisSpec(k, "full", mode, 1, s)]
+                specs += [RisSpec(k, "group", mode, g, s)
+                          for g in range(1, dim + 1) if dim % g == 0]
     return specs
+
+
+def gaussian(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def signed_zeros(shape, rng):
+    z = np.empty(shape, dtype=complex)
+    z.real = np.copysign(0.0, rng.standard_normal(shape))
+    z.imag = np.copysign(0.0, rng.standard_normal(shape))
+    return z
+
+
+def largest_gap(a, b):
+    return max(np.max(np.abs(x - y)) for x, y in zip(a.matrices, b.matrices))
 
 
 def random_slots(spec, rng):
     """Unstructured complex matrices with the slot count of the spec's mode."""
     dim = spec.matrix_dim
-    return [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            for _ in range(spec.stack_depth)]
+    return [gaussian((dim, dim), rng) for _ in range(spec.stack_depth)]
 
 
 class TestRisSpec:
@@ -108,6 +119,30 @@ class TestValidate:
         assert not report.is_feasible
         assert report.violated_constraint == "block_isometry"
         assert report.max_violation == pytest.approx(0.75)   # |0.25 - 1|
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200 + 1e200j], ids=["nan", "inf", "huge"])
+    @pytest.mark.parametrize("arch,groups", [("full", 1), ("group", 4), ("single", 1)])
+    def test_non_finite_or_overflowing_entry_is_infeasible(self, arch, groups, bad):
+        # NaN compares false, so it must not slip past the bound; a huge
+        # finite entry overflows the residual, which must read inf, not NaN
+        spec = RisSpec(8, arch, "reflective", groups)
+        phi = np.eye(8, dtype=complex)
+        phi[1, 1] = bad
+        report = validate(PhaseResponse.reflective(phi), spec)
+        assert not report.is_feasible
+        assert report.max_violation == np.inf
+        assert report.violated_constraint == "block_isometry"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_off_block_entry_is_an_off_block_violation(self, bad):
+        spec = RisSpec(8, "group", "hybrid", 4)
+        pr = random_feasible(spec, 4)
+        phi_t = pr.phi_t.copy()
+        phi_t[0, 7] = bad
+        report = validate(PhaseResponse.hybrid(pr.phi_r, phi_t), spec)
+        assert not report.is_feasible
+        assert report.max_violation == np.inf
+        assert report.violated_constraint == "off_block_support"
 
     def test_detects_nonunitary_block(self):
         spec = RisSpec(4, "full", "reflective")
@@ -226,6 +261,47 @@ class TestProjectFeasible:
         for seed in range(20):
             other = random_feasible(spec, seed).phi
             assert d_proj <= np.linalg.norm(a - other) + 1e-12
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(valid_specs(range(1, 13))), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(["generic", "zero", "rank_deficient"]),
+                    min_size=12, max_size=12))
+    def test_property_nearest_idempotent_and_zero_stacks_pinned(self, spec, seed, kinds):
+        # each block's stack is generic, all signed zeros, or of rank 1 .. bs-1
+        # (all zeros at block size 1); off-block entries are noise
+        rng = np.random.default_rng(seed)
+        depth, bs, dim = spec.stack_depth, spec.block_size, spec.matrix_dim
+        mats = random_slots(spec, rng)
+        zero = []
+        for b, kind in enumerate(kinds[:spec.num_blocks]):
+            if kind == "rank_deficient" and bs > 1:
+                rank = rng.integers(1, bs)
+                stack = gaussian((depth * bs, rank), rng) @ gaussian((rank, bs), rng)
+            elif kind != "generic":
+                stack = signed_zeros((depth * bs, bs), rng)
+                zero.append(b)
+            else:
+                continue
+            for s in range(depth):
+                mats[s][b * bs:(b + 1) * bs, b * bs:(b + 1) * bs] = stack[s * bs:(s + 1) * bs]
+
+        pr = project_feasible(mats, spec)
+        assert validate(pr, spec, eps_feas=1e-9).is_feasible
+        assert largest_gap(project_feasible(pr, spec), pr) <= 1e-10
+        for b in zero:
+            sl = slice(b * bs, (b + 1) * bs)
+            assert np.array_equal(pr.matrices[0][sl, sl], np.eye(bs))
+            assert all(not m[sl, sl].any() for m in pr.matrices[1:])
+
+        def distance(other):
+            return np.sqrt(sum(np.linalg.norm(x - y) ** 2 for x, y in zip(mats, other.matrices)))
+
+        nearest = distance(pr)
+        for _ in range(3):
+            draw = random_feasible(spec, rng)
+            assert largest_gap(project_feasible(draw, spec), draw) <= 1e-12
+            assert nearest <= distance(draw) + 1e-12 * dim
 
 
 class TestHardwareComplexity:
