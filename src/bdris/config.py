@@ -59,24 +59,24 @@ class SimConfig:
 
 KEY_ORDER = tuple(f.name for f in dataclasses.fields(SimConfig))
 
-_INT_KEYS = {"num_elements", "group_count", "sector_count", "trials", "base_seed"}
-_BOOL_KEYS = {"include_direct"}
-_STR_KEYS = {"architecture", "mode", "out_dir"}
+_DEFAULTS = SimConfig()
 
 
 def _coerce(key: str, raw: str):
+    """Parse raw as the type of key's default in SimConfig."""
     raw = raw.strip()
-    if key in _BOOL_KEYS:
+    default = getattr(_DEFAULTS, key)
+    if isinstance(default, bool):      # before int: a bool is an int
         lowered = raw.lower()
         if lowered in ("true", "false"):
             return lowered == "true"
         raise ConfigError(f"key '{key}': expected true or false, got {raw!r}")
-    if key in _INT_KEYS:
+    if isinstance(default, int):
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"key '{key}': expected an integer, got {raw!r}") from None
-    if key in _STR_KEYS:
+    if isinstance(default, str):
         return raw
     try:
         value = float(raw)

@@ -4,7 +4,11 @@ Sum-rate maximization over power split and surface phases.
 With a single satellite feed Phi enters the rates only through its image
 v = Phi h, and the feasible images are exactly the vectors with |v_b| = |h_b|
 per block (bs = 1 is the diagonal surface). The solver and the exact oracle
-both work on v for every architecture, and build Phi once at the end.
+both work on v for every architecture, and build Phi once at the end from h
+and v alone (_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
+c c^H/(1 + s)) with z = h_b^H v_b/|h_b^H v_b|, a' = z h_b/|h_b|, v' =
+v_b/|h_b|, c = a' + v' and s = a'^H v' >= 0, the rotation of span{h_b, v_b}
+that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
 
 - Power split (_split): with the SIC ordering fixed by the gains, the
   two-user sum rate is non-increasing in alpha_far on [0.5, 1], so the
@@ -61,8 +65,9 @@ from .channel import ChannelRealization, db_to_linear, effective_channel
 from .noma import (LN2, NomaAllocation, RateResult, achievable_rates,
                    min_power_split_for_far_rate, order_users, sic_rate_gradient,
                    sic_rates)
+from .surfaces import PhaseResponse, RisSpec, block_diagonal
 # perfbench/spans.py wraps optimizer.project_feasible by name; nothing here calls it
-from .surfaces import PhaseResponse, RisSpec, project_feasible  # noqa: F401
+from .surfaces import project_feasible  # noqa: F401
 
 SCHEMES = ("BD_RIS", "CD_RIS")
 
@@ -119,19 +124,6 @@ class Solution:
 # ---------------------------------------------------------------------------
 
 
-def _plane(x: np.ndarray, v: np.ndarray):
-    """Per row: e1 = x/|x|, e2 = the unit part of v orthogonal to e1, and the
-    coordinates (beta, n) of v in {e1, e2}, n real. Zero vectors give zero
-    basis vectors."""
-    xn = np.linalg.norm(x, axis=1)
-    e1 = np.divide(x, xn[:, None], out=np.zeros_like(x), where=xn[:, None] > 0.0)
-    beta = np.sum(e1.conj() * v, axis=1)
-    perp = v - beta[:, None] * e1
-    n = np.linalg.norm(perp, axis=1)
-    e2 = np.divide(perp, n[:, None], out=np.zeros_like(perp), where=n[:, None] > 0.0)
-    return e1, e2, beta, n
-
-
 def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
              bs: int) -> np.ndarray:
     """The feasible image that maximizes Re<q, v>: v_b = |h_b| q_b/|q_b|.
@@ -157,48 +149,29 @@ def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
                     fallback.reshape(fallback.shape[:-1] + (-1, bs))).reshape(q.shape)
 
 
-def _surface_with_image(base: np.ndarray, w: np.ndarray, v: np.ndarray,
-                        bs: int) -> np.ndarray:
-    """U base for a block unitary U with U w = v, where w = base h.
-
-    Per block, U is the global phase z = w_b^H v_b/|w_b^H v_b| followed by the
-    rotation R that takes z w_b to v_b inside span{w_b, v_b}. Taking the
-    phase out first keeps R - I as small as the change of direction, so U
-    stays unitary to rounding even when v_b is nearly parallel to w_b.
-    Only blocks whose direction moved (n > 0) form the rotation products;
-    the others turn by z alone, and so does every block of a diagonal
-    surface, whose one-element blocks have no direction to move (their n is
-    rounding only). Blocks whose image did not move keep their rows of base
-    exactly.
-    """
-    k = base.shape[0]
-    wb = w.reshape(-1, bs)
-    vb = v.reshape(-1, bs)
-    rows = base.reshape(-1, bs, k)
-    c = np.sum(wb.conj() * vb, axis=1)
-    cmag = np.abs(c)
-    z = np.divide(c, cmag, out=np.ones_like(c), where=cmag > 0.0)
-    moved = np.any(vb != wb, axis=1)
-    rotated = np.zeros_like(moved)
-    if bs > 1:
-        e1, e2, a, n = _plane(z[:, None] * wb, vb)
-        rotated = moved & (n > 0.0)
-    out = rows.copy()
-    phased = np.flatnonzero(moved & ~rotated)
-    out[phased] *= z[phased, None, None]
-    t = np.flatnonzero(rotated)
-    if t.size:
-        r = np.hypot(np.abs(a[t]), n[t])
-        cos, sin = a[t] / r, n[t] / r
-        basis = np.stack([e1[t], e2[t]], axis=2)                # (rotated, bs, 2)
-        rot = np.stack([np.stack([cos - 1.0, -sin], axis=1),    # R - I
-                        np.stack([sin, np.conj(cos) - 1.0], axis=1)], axis=1)
-        turning = rows[t]
-        coords = basis.conj().transpose(0, 2, 1) @ turning      # (rotated, 2, k)
-        turned = (basis @ rot) @ coords
-        turned += turning
-        out[t] = np.multiply(z[t, None, None], turned, out=turned)
-    return out.reshape(k, k)
+def _surface_from_image(h: np.ndarray, v: np.ndarray, spec: RisSpec) -> np.ndarray:
+    """The feasible Phi with the per-block rotation of the module docstring,
+    so Phi h = v for every image with |v_b| = |h_b|. The rank-two update
+    works in units of |h_b|, so its squares stay in range, and 1 + s >= 1. A
+    one-element block is z alone, so a diagonal Phi is exactly diag(z); a
+    block with h_b = 0 is the identity."""
+    bs = spec.block_size
+    hb, vb = h.reshape(-1, bs), v.reshape(-1, bs)
+    dot = np.sum(hb.conj() * vb, axis=1)
+    mag = np.abs(dot)
+    z = np.divide(dot, mag, out=np.ones_like(dot), where=mag > 0.0)
+    if bs == 1:
+        return block_diagonal(z, spec)[0]
+    rho = np.linalg.norm(hb, axis=1)[:, None]
+    ap = np.divide(z[:, None] * hb, rho, out=np.zeros_like(hb), where=rho > 0.0)
+    vp = np.divide(vb, rho, out=np.zeros_like(vb), where=rho > 0.0)
+    s = np.sum(ap.conj() * vp, axis=1).real
+    c = ap + vp
+    left = np.stack([2.0 * vp, c / -(1.0 + s)[:, None]], axis=2)   # (blocks, bs, 2)
+    blocks = left @ np.stack([ap.conj(), c.conj()], axis=1)        # the rank-two update
+    blocks.reshape(len(z), -1)[:, ::bs + 1] += 1.0
+    blocks *= z[:, None, None]
+    return block_diagonal(blocks, spec)[0]
 
 
 def _split(problem: ProblemSpec, g_s, g_w, noise: float):
@@ -254,26 +227,33 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     """Maximize the closed-form-split score over the surface phases.
 
     Runs the direction ascent of the module docstring from three starts,
-    held as rows of one array: the warm start's image (the identity when
-    None) and, per user, v = _exposed(g_u), which steers the surface to that
-    user alone. A row stops at its first step that does not raise its score
-    by more than 1e-12 relative, or after _PHASE_STEPS kept steps. Phi is
-    built once, from the best row's image, so it never scores below the warm
+    held as rows of one array: the warm start's image Phi_warm h (h itself
+    when None) and, per user, v = _exposed(g_u), which steers the surface to
+    that user alone. The warm start is read as that image only, never as a
+    matrix. A row stops at its first step that does not raise its score by
+    more than 1e-12 relative, or after _PHASE_STEPS kept steps. Phi is built
+    once, from h and the best row's image, so it never scores below the warm
     start. Returns the PhaseResponse and that row's trace: its score at its
     start and after each kept step.
+
+    Raises ValueError when the warm start is not reflective, or when its
+    image misses |(Phi_warm h)_b| = |h_b| by more than 1e-9 relative in some
+    block, i.e. it is no feasible point of this architecture.
     """
     spec = problem.effective_spec
     bs = spec.block_size
-    if warm_start_pr is not None:
-        if warm_start_pr.mode != "reflective":
-            raise ValueError("warm start must be a reflective phase response")
-        base = warm_start_pr.phi
-    else:
-        base = np.eye(spec.num_elements, dtype=complex)
     h, hd, g = ch.h_sat_ris, ch.h_direct, ch.g_ris_user
     gc_t = g.conj().T
     h_norms = np.linalg.norm(h.reshape(-1, bs), axis=1)
-    warm = base @ h
+    warm = h
+    if warm_start_pr is not None:
+        if warm_start_pr.mode != "reflective":
+            raise ValueError("warm start must be a reflective phase response")
+        warm = warm_start_pr.phi @ h
+        off = np.abs(np.linalg.norm(warm.reshape(-1, bs), axis=1) - h_norms)
+        if not np.all(off <= 1e-9 * h_norms):      # NaN fails too
+            raise ValueError(f"the warm start's image is infeasible for the "
+                             f"{spec.architecture}-connected surface")
 
     v = np.vstack([warm, _exposed(g, h_norms, h, bs)])
     e = hd + v @ gc_t
@@ -307,7 +287,7 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
         history.append(f)
     best = int(np.argmax(f))
     trace = tuple(float(scores[best]) for scores in history[:steps[best] + 1])
-    return PhaseResponse.reflective(_surface_with_image(base, warm, v[best], bs)), trace
+    return PhaseResponse.reflective(_surface_from_image(h, v[best], spec)), trace
 
 
 def _evaluate(ch: ChannelRealization, pr: PhaseResponse,
@@ -475,7 +455,6 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     spacing = np.array([np.pi / 2.0 / n_t] * 2 + [2.0 * np.pi / n_a] * (n_a > 1))
     x, f = _pattern_search(lambda x: rate(image(chart(x)) @ gc_t), len(u0), spacing)
     v = image(chart(x[:, None, :])[int(np.argmax(f)), 0])
-    pr = PhaseResponse.reflective(
-        _surface_with_image(np.eye(spec.num_elements, dtype=complex), ch.h_sat_ris, v, bs))
+    pr = PhaseResponse.reflective(_surface_from_image(ch.h_sat_ris, v, spec))
     alloc, rates = _evaluate(ch, pr, problem)
     return Solution(alloc, pr, rates, (rates.sum_rate,), True)

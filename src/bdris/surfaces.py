@@ -179,7 +179,7 @@ def _blocks(mats, spec: RisSpec) -> np.ndarray:
     return stacks.reshape(nb, depth * bs, bs)
 
 
-def _block_diagonal(stacks: np.ndarray, spec: RisSpec) -> np.ndarray:
+def block_diagonal(stacks: np.ndarray, spec: RisSpec) -> np.ndarray:
     """(depth, dim, dim) slot matrices whose diagonal blocks are the given
     stacks and are zero elsewhere; the inverse of _blocks on block-diagonal
     slots."""
@@ -225,7 +225,7 @@ def validate(pr: PhaseResponse, spec: RisSpec, eps_feas: float = 1e-9) -> Feasib
         label = "off_block_support" if np.isfinite(a).all() else "block_isometry"
         return FeasibilityReport(False, np.inf, label)
 
-    off_viol = float(np.max(np.abs(m - _block_diagonal(a, spec))))
+    off_viol = float(np.max(np.abs(m - block_diagonal(a, spec))))
     with np.errstate(over="ignore", invalid="ignore"):     # entries past ~1e154 overflow
         resid = np.abs(a.conj().transpose(0, 2, 1) @ a - np.eye(spec.block_size))
     iso_viol = float(np.max(np.nan_to_num(resid, nan=np.inf, posinf=np.inf)))
@@ -266,7 +266,7 @@ def random_feasible(spec: RisSpec, seed) -> PhaseResponse:
     else:
         scale = np.ones((nb, 1, bs))
     stacks = q * (d / np.abs(d) * scale)[:, :, None, :]
-    return PhaseResponse(spec.mode, tuple(_block_diagonal(stacks, spec)))
+    return PhaseResponse(spec.mode, tuple(block_diagonal(stacks, spec)))
 
 
 def project_feasible(m, spec: RisSpec) -> PhaseResponse:
@@ -295,7 +295,7 @@ def project_feasible(m, spec: RisSpec) -> PhaseResponse:
     iso = u @ vh
     # the SVD of a zero stack follows the signs of its zeros; pin it instead
     iso[~a.any(axis=(1, 2))] = np.eye(*a.shape[1:])
-    return PhaseResponse(spec.mode, tuple(_block_diagonal(iso, spec)))
+    return PhaseResponse(spec.mode, tuple(block_diagonal(iso, spec)))
 
 
 def hardware_complexity(spec: RisSpec):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdris import optimizer
 from bdris.channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                            draw_realization, effective_channel)
 from bdris.config import SimConfig, geometry_from, link_budget_from
@@ -14,7 +15,7 @@ from bdris.noma import (NomaAllocation, achievable_rates, min_power_split_for_fa
                         order_users, sic_rates)
 from bdris.optimizer import (InfeasibleAllocationError, ProblemSpec, Solution, bcd_solve,
                              exact_oracle, solve_phase_subproblem, solve_power_subproblem,
-                             _exposed, _score, _slope, _surface_with_image)
+                             _exposed, _score, _slope, _surface_from_image)
 from bdris.surfaces import (PhaseResponse, RisSpec, project_feasible, random_feasible,
                             validate)
 
@@ -222,56 +223,91 @@ class TestExposedPoint:
                 assert np.array_equal(batch[i], _exposed(q[i], block_norms(h, bs), fallback[i], bs))
 
 
-class TestSurfaceWithImage:
+def feasible_image(x, h, bs):
+    """x rescaled block by block to the norms of h."""
+    xb = x.reshape(-1, bs)
+    return (xb * (block_norms(h, bs) / np.linalg.norm(xb, axis=1))[:, None]).ravel()
+
+
+class TestSurfaceFromImage:
     def test_built_surface_after_many_steps(self):
         rng = np.random.default_rng(8)
         for spec in block_specs():
             k, bs = spec.num_elements, spec.block_size
             h = cn(rng, k)
-            base = random_feasible(spec, rng).phi
-            w = base @ h
-            v = w
+            v = h
             for _ in range(50):
                 v = _exposed(cn(rng, k), block_norms(h, bs), v, bs)
-            phi = _surface_with_image(base, w, v, bs)
+            phi = _surface_from_image(h, v, spec)
             assert validate(PhaseResponse.reflective(phi), spec).is_feasible
             assert np.linalg.norm(phi @ h - v) < 1e-12 * np.linalg.norm(v)
 
     def test_surface_for_barely_moved_images(self):
         # block 0 turns by a global phase only, block 1 by a 1e-9 change of
-        # direction (for bs = 1, a 1e-9 turn of its phase), block 2 not at all
+        # direction (for bs = 1, a 1e-9 turn of its phase), block 2 not at
+        # all: they build as 1j I, a near-identity rotation and I
         rng = np.random.default_rng(9)
         for spec in (RisSpec(12, "group", group_count=3), RisSpec(3, "single")):
             k, bs = spec.num_elements, spec.block_size
-            base = random_feasible(spec, rng).phi
             h = cn(rng, k)
-            w = base @ h
-            v = w.copy()
+            v = h.copy()
             v[:bs] *= 1j
             one = slice(bs, 2 * bs)
             nudge = v[one] + 1e-9 * np.linalg.norm(v[one]) * cn(rng, bs)
             v[one] = nudge * np.linalg.norm(v[one]) / np.linalg.norm(nudge)
-            phi = _surface_with_image(base, w, v, bs)
+            phi = _surface_from_image(h, v, spec)
             assert validate(PhaseResponse.reflective(phi), spec, eps_feas=1e-13).is_feasible
             assert np.linalg.norm(phi @ h - v) < 1e-14 * np.linalg.norm(v)
-            assert np.array_equal(phi[2 * bs:], base[2 * bs:])
+            eye = np.eye(bs)
+            assert np.abs(phi[:bs, :bs] - 1j * eye).max() < 1e-15
+            assert np.abs(phi[one, one] - eye).max() < 1e-8
+            assert np.abs(phi[2 * bs:, 2 * bs:] - eye).max() < 1e-15
 
-    def test_diagonal_surface_turns_each_row_by_its_phase_alone(self):
-        # a one-element block has no direction to move: each row of base is
-        # multiplied by z_k = conj(w_k) v_k/|w_k v_k| and nothing else, and rows
-        # whose image did not move stay
+    def test_diagonal_surface_is_exactly_its_phases(self):
+        # a one-element block has no direction to move: it is z_k =
+        # conj(h_k) v_k/|conj(h_k) v_k| and nothing else, bit for bit
         rng = np.random.default_rng(15)
         for k in (1, 3, 80):
             spec = RisSpec(k, "single")
-            base, h = random_feasible(spec, rng).phi, cn(rng, k)
-            w = base @ h
+            h = cn(rng, k)
             v = _exposed(cn(rng, k), np.abs(h), h, 1)
-            v[-1] = w[-1]
-            c = w.conj() * v
-            phi = _surface_with_image(base, w, v, 1)
-            assert np.array_equal(phi[:-1], base[:-1] * (c / np.abs(c))[:-1, None])
-            assert np.array_equal(phi[-1], base[-1])
+            v[-1] = h[-1]
+            c = h.conj() * v
+            phi = _surface_from_image(h, v, spec)
+            assert np.array_equal(phi, np.diag(c / np.abs(c)))
             assert validate(PhaseResponse.reflective(phi), spec, eps_feas=1e-13).is_feasible
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
+                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
+                              if k % g == 0]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 1e-150, 1e150]),
+           st.sampled_from(["random", "nudge", "phase", "plus", "minus"]), st.booleans())
+    def test_property_feasible_with_its_image_and_z_off_the_plane(self, shape, seed, scale,
+                                                                  kind, zero_block):
+        spec = any_spec(*shape)
+        k, bs = spec.num_elements, spec.block_size
+        rng = np.random.default_rng(seed)
+        h = scale * cn(rng, k)
+        v = {"random": lambda: feasible_image(cn(rng, k), h, bs),
+             "nudge": lambda: feasible_image(h + 1e-9 * scale * cn(rng, k), h, bs),
+             "phase": lambda: np.exp(2j * np.pi * rng.random()) * h,
+             "plus": lambda: h.copy(),
+             "minus": lambda: -h}[kind]()
+        if zero_block:
+            h[:bs] = v[:bs] = 0.0
+        phi = _surface_from_image(h, v, spec)
+        assert validate(PhaseResponse.reflective(phi), spec, eps_feas=1e-12).is_feasible
+        assert np.linalg.norm(phi @ h - v) <= 1e-12 * np.linalg.norm(v)
+        # off span{h_b, v_b} each block acts as its phase z_b (1 where h_b^H v_b = 0)
+        c = np.sum(h.reshape(-1, bs).conj() * v.reshape(-1, bs), axis=1)
+        z = np.divide(c, np.abs(c), out=np.ones_like(c), where=np.abs(c) > 0.0)
+        for b in range(spec.num_blocks):
+            sl = slice(b * bs, (b + 1) * bs)
+            plane = np.linalg.qr(np.column_stack([h[sl], v[sl]]))[0]
+            r = cn(rng, bs)
+            x = r - plane @ (plane.conj().T @ r)
+            assert np.linalg.norm(phi[sl, sl] @ x - z[b] * x) <= 1e-12 * np.linalg.norm(r)
 
 
 class TestPhaseSubproblem:
@@ -412,6 +448,59 @@ class TestBcdSolve:
         assert validate(solution.phase, spec).is_feasible
         assert solution.rates.sum_rate >= start.sum_rate * (1.0 - 1e-12)
         assert solution.rates.rate_far >= floor * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("spec", [RisSpec(8, "single"), RisSpec(8, "group", group_count=4)])
+    def test_rejects_a_warm_start_with_an_infeasible_image(self, spec):
+        # a fully connected solution's image breaks the finer block norms:
+        # scoring from it would credit the finer surface with rates it
+        # cannot reach
+        for seed in range(5):
+            ch = unit_channel(8, seed=seed)
+            full = bcd_solve(ch, ProblemSpec(RisSpec(8, "full"), 10.0)).phase
+            with pytest.raises(ValueError, match=spec.architecture):
+                bcd_solve(ch, ProblemSpec(spec, 10.0), warm_start_pr=full)
+
+    def test_only_the_warm_image_counts(self):
+        # a rank-one warm matrix with a feasible image starts the solve from
+        # that image, and the returned Phi is feasible all the same
+        spec = RisSpec(8, "group", group_count=2)
+        for seed in range(4):
+            ch = unit_channel(8, seed=seed, direct_scale=0.7)
+            h = ch.h_sat_ris
+            image = random_feasible(spec, seed).phi @ h
+            warm = PhaseResponse.reflective(np.outer(image, h.conj()) / np.vdot(h, h))
+            start = sum_rate_at(ch, warm, NomaAllocation(10.0, 0.5, 0.5)).sum_rate
+            solution = bcd_solve(ch, ProblemSpec(spec, 10.0), warm_start_pr=warm)
+            assert validate(solution.phase, spec, eps_feas=1e-12).is_feasible
+            assert solution.rates.sum_rate >= start * (1.0 - 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
+                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
+                              if k % g == 0]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]), st.booleans())
+    def test_property_every_iterate_is_feasible(self, shape, seed, direct, warm):
+        # the warm image and every image the ascent steps to keep |v_b| = |h_b|
+        spec = any_spec(*shape)
+        ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct)
+        start = random_feasible(spec, seed) if warm else None
+        images = [ch.h_sat_ris if start is None else start.phi @ ch.h_sat_ris]
+        exposed = optimizer._exposed
+
+        def recording(*args):
+            images.append(exposed(*args))
+            return images[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_exposed", recording)
+            solution = bcd_solve(ch, ProblemSpec(spec, 10.0), warm_start_pr=start)
+        bs = spec.block_size
+        norms = block_norms(ch.h_sat_ris, bs)
+        assert len(images) > 2
+        for v in images:
+            v_norms = np.linalg.norm(v.reshape(v.shape[:-1] + (-1, bs)), axis=-1)
+            assert np.all(np.abs(v_norms - norms) <= 1e-12 * norms)
+        assert validate(solution.phase, spec, eps_feas=1e-12).is_feasible
 
     @pytest.mark.parametrize("floor", [1e-13, 1.6e-13])
     def test_binding_far_floor_reaches_the_oracle_on_the_default_draw(self, floor):
