@@ -7,7 +7,9 @@ produced from the dedicated stream default_rng([base_seed, point_index,
 trial]), so results are reproducible run-to-run and independent of how the
 points are distributed over workers. Every trial is one solve_pair: the
 beyond-diagonal solve is warm-started from the converged conventional
-phases, which makes its sum rate dominate the baseline trial by trial.
+surface's image v = Phi h, which makes its sum rate dominate the baseline
+trial by trial. A sweep writes rates only, so it builds no Phi: both solves
+work on images, and a Solution builds its Phi only when its phase is read.
 """
 
 from __future__ import annotations
@@ -69,17 +71,18 @@ class SweepResult:
 
 def solve_pair(ch: ChannelRealization, problem: ProblemSpec) -> dict:
     """Solve one realization with both schemes: CD_RIS from the identity,
-    then BD_RIS from the CD phases (from the identity when CD is
-    infeasible), so BD never falls below CD. problem.scheme is not read.
-    Returns {scheme: Solution or the InfeasibleAllocationError it raised}."""
+    then BD_RIS from the CD image cd.image = Phi_cd h (from the identity
+    when CD is infeasible), so BD never falls below CD. Neither solve builds
+    a Phi. problem.scheme is not read. Returns {scheme: Solution or the
+    InfeasibleAllocationError it raised}."""
     def attempt(scheme, warm):
         try:
-            return bcd_solve(ch, replace(problem, scheme=scheme), warm_start_pr=warm)
+            return bcd_solve(ch, replace(problem, scheme=scheme), warm_image=warm)
         except InfeasibleAllocationError as exc:
             return exc
 
     cd = attempt("CD_RIS", None)
-    bd = attempt("BD_RIS", None if isinstance(cd, InfeasibleAllocationError) else cd.phase)
+    bd = attempt("BD_RIS", None if isinstance(cd, InfeasibleAllocationError) else cd.image)
     return {"CD_RIS": cd, "BD_RIS": bd}
 
 
@@ -116,11 +119,11 @@ def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_
         for name, spec in (("full", RisSpec(80, "full")),
                            ("G=16", RisSpec(80, "group", group_count=16))):
             bd = ProblemSpec(spec, power_dbm)
-            arms[f"K=80 {name}"].append(ratio(bcd_solve(ch, bd, cd.phase), ch, bd))
+            arms[f"K=80 {name}"].append(ratio(bcd_solve(ch, bd, cd.image), ch, bd))
     full8 = ProblemSpec(RisSpec(8, "full"), power_dbm)
     for ch in (draw(8, 1, 302, i) for i in range(50)):
-        phi = solve_phase_subproblem(ch, full8)[0].phi
-        gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (phi @ ch.h_sat_ris))
+        image = solve_phase_subproblem(ch, full8)[0]
+        gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ image)
         bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
                                        * np.linalg.norm(ch.h_sat_ris))
         arms["single-user gain bound"].append(gain / bound)

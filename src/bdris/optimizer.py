@@ -4,8 +4,10 @@ Sum-rate maximization over power split and surface phases.
 With a single satellite feed Phi enters the rates only through its image
 v = Phi h, and the feasible images are exactly the vectors with |v_b| = |h_b|
 per block (bs = 1 is the diagonal surface). The solver and the exact oracle
-both work on v for every architecture, and build Phi once at the end from h
-and v alone (_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
+both work on v for every architecture: they return v, and take the power
+split and the rates from its two effective channels h_d + g^H v. A Solution
+builds Phi only when its phase is read, from h and v alone
+(_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
 c c^H/(1 + s)) with z = h_b^H v_b/|h_b^H v_b|, a' = z h_b/|h_b|, v' =
 v_b/|h_b|, c = a' + v' and s = a'^H v' >= 0, the rotation of span{h_b, v_b}
 that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
@@ -46,27 +48,29 @@ the global optimum, for every block size (Nerini, Shen & Clerckx, IEEE TWC
 nearby u reaches its reachable points.
 
 The conventional-surface baseline (CD_RIS) is the same solver restricted to
-the single-connected diagonal set. bcd_solve starts from the phases it is
-given, or from the identity; warm-starting the beyond-diagonal run from the
-baseline phases (experiments.solve_pair) makes its final sum rate dominate
-the baseline on every realization, since diagonal unit-modulus matrices are
-feasible for every architecture and the ascent never returns a point that
-scores below its warm start.
+the single-connected diagonal set. bcd_solve starts from the image it is
+given, or from the identity's image h; warm-starting the beyond-diagonal run
+from the baseline's image (experiments.solve_pair) makes its final sum rate
+dominate the baseline on every realization, since the images of diagonal
+unit-modulus matrices are feasible for every architecture and the ascent
+never returns a point that scores below its warm start.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, db_to_linear, effective_channel
-from .noma import (LN2, NomaAllocation, RateResult, achievable_rates,
-                   min_power_split_for_far_rate, order_users, sic_rate_gradient,
-                   sic_rates)
+from .channel import ChannelRealization, db_to_linear
+from .noma import (LN2, NomaAllocation, RateResult, min_power_split_for_far_rate,
+                   sic_rate_gradient, sic_terms)
 from .surfaces import PhaseResponse, RisSpec, block_diagonal
-# perfbench/spans.py wraps optimizer.project_feasible by name; nothing here calls it
+# perfbench/spans.py wraps these optimizer attributes by name; nothing here calls them
+from .channel import effective_channel  # noqa: F401
+from .noma import achievable_rates  # noqa: F401
 from .surfaces import project_feasible  # noqa: F401
 
 SCHEMES = ("BD_RIS", "CD_RIS")
@@ -97,7 +101,7 @@ class ProblemSpec:
         if self.ris_spec.mode != "reflective":
             raise ValueError("the sum-rate solver supports reflective surfaces only")
 
-    @property
+    @functools.cached_property
     def power_mw(self) -> float:
         return db_to_linear(self.power_dbm)
 
@@ -113,15 +117,30 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class Solution:
     allocation: NomaAllocation
-    phase: PhaseResponse
+    image: np.ndarray     # v = Phi h, the surface as the rates see it
     rates: RateResult
     trace: tuple          # the winning start's score, at its start and after each kept step
     converged: bool       # False only when that start ran into the step cap
+    h_sat_ris: np.ndarray = field(repr=False)   # the h of v = Phi h
+    spec: RisSpec = field(repr=False)           # the feasible set v lies in
+
+    @functools.cached_property
+    def phase(self) -> PhaseResponse:
+        """The feasible Phi with Phi h = image (_surface_from_image), built
+        on first read."""
+        return PhaseResponse.reflective(_surface_from_image(self.h_sat_ris, self.image,
+                                                            self.spec))
 
 
 # ---------------------------------------------------------------------------
 # internal phase-ascent machinery (raw arrays, no PhaseResponse wrapping)
 # ---------------------------------------------------------------------------
+
+
+def _norms(xb: np.ndarray) -> np.ndarray:
+    """Norms along the last axis: the sums np.linalg.norm forms, without
+    its wrapper."""
+    return np.sqrt(np.add.reduce((xb.conj() * xb).real, axis=-1))
 
 
 def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
@@ -136,13 +155,13 @@ def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
     of range.
     """
     qb = q.reshape(q.shape[:-1] + (-1, bs))
-    qn = np.linalg.norm(qb, axis=-1)
+    qn = _norms(qb)
     if not 1e-150 < qn.max() < 1e150 and np.any(qb):
         # only the directions count: rescale so that |q_b|^2 neither under-
         # nor overflows, part by part (complex division by a subnormal overflows)
         top = np.max(np.abs(qb))
         qb = qb.real / top + 1j * (qb.imag / top)
-        qn = np.linalg.norm(qb, axis=-1)
+        qn = _norms(qb)
     moved = qn > 0.0
     scale = np.divide(h_norms, qn, out=np.zeros_like(qn), where=moved)
     return np.where(moved[..., None], qb * scale[..., None],
@@ -176,13 +195,15 @@ def _surface_from_image(h: np.ndarray, v: np.ndarray, spec: RisSpec) -> np.ndarr
 
 def _split(problem: ProblemSpec, g_s, g_w, noise: float):
     """The optimal full-power split alpha_far = max(0.5, alpha_far*) (at most
-    1), whether it meets both minimum rates, and its (rate_near, rate_far),
-    per pair of strong and weak gains (all broadcast)."""
-    a_star = min_power_split_for_far_rate(problem.min_rate_far, problem.power_mw, g_w, noise)
+    1), whether it meets both minimum rates, its (rate_near, rate_far), and
+    the products those rates share with their slope (noma.sic_terms), per
+    pair of strong and weak gains (all broadcast)."""
+    p = problem.power_mw
+    a_star = min_power_split_for_far_rate(problem.min_rate_far, p, g_w, noise)
     alpha_far = np.minimum(np.maximum(0.5, a_star), 1.0)
-    r_n, r_f = sic_rates(problem.power_mw, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
+    r_n, r_f, products = sic_terms(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
     feasible = (a_star <= 1.0 + 1e-12) & (r_n >= problem.min_rate_near * (1.0 - 1e-12))
-    return alpha_far, feasible, r_n, r_f
+    return alpha_far, feasible, r_n, r_f, products
 
 
 def _score(problem: ProblemSpec, gains: np.ndarray, noise: float):
@@ -192,30 +213,31 @@ def _score(problem: ProblemSpec, gains: np.ndarray, noise: float):
     is both strong and weak. Returns the score and the split it was taken at,
     which _slope reads, so a caller that needs no slope computes none."""
     g_s, g_w = gains.max(axis=-1), gains.min(axis=-1)
-    alpha_far, feasible, r_n, r_f = _split(problem, g_s, g_w, noise)
+    alpha_far, feasible, r_n, r_f, products = _split(problem, g_s, g_w, noise)
     short_f = np.maximum(problem.min_rate_far - r_f, 0.0)
     score = np.where(feasible, r_n + r_f,
                      -(np.maximum(problem.min_rate_near - r_n, 0.0) + short_f))
-    return score, (g_s, g_w, alpha_far, feasible, short_f)
+    return score, (g_s, g_w, alpha_far, feasible, short_f, products)
 
 
 def _slope(problem: ProblemSpec, gains: np.ndarray, noise: float, split) -> np.ndarray:
     """Total derivative of _score in the gains, at the split _score returned
     for the same gains."""
     p = problem.power_mw
-    g_s, g_w, alpha_far, feasible, short_f = split
-    d_s, d_w = sic_rate_gradient(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
+    g_s, g_w, alpha_far, feasible, short_f, products = split
+    d_s, d_w = sic_rate_gradient(p, 1.0 - alpha_far, alpha_far, g_w, noise, products)
     # Where the far floor r binds, the far rate stays at r as g_w grows, and
     # alpha_far = c (1 + noise/(p g_w)), c = 1 - 2^-r, falls by
     # (alpha_far - c)/g_w per unit of g_w: the weak gain buys near rate.
     # Elsewhere the split is fixed, and a far rate above its floor does not
     # count in a shortfall (nor does a near rate, but where it meets its
     # floor and the far one does not, the split is 1 and d_s = 0).
+    w_weak = np.where(feasible | (short_f > 0.0), d_w, 0.0)
     binding = (alpha_far > 0.5) & (alpha_far < 1.0)
-    slide = np.divide(alpha_far + np.expm1(-problem.min_rate_far * LN2), g_w,
-                      out=np.zeros_like(g_w), where=binding)
-    w_weak = np.where(binding, p * g_s * slide / ((p * (1.0 - alpha_far) * g_s + noise) * LN2),
-                      np.where(feasible | (short_f > 0.0), d_w, 0.0))
+    if binding.any():      # never without a far floor
+        slide = np.divide(alpha_far + np.expm1(-problem.min_rate_far * LN2), g_w,
+                          out=np.zeros_like(g_w), where=binding)
+        w_weak = np.where(binding, p * g_s * slide / ((products[1] + noise) * LN2), w_weak)
     users = np.arange(gains.shape[-1])
     strong = np.argmax(gains, axis=-1)[..., None]   # ties go to the lower index, as in order_users
     return ((users == strong) * d_s[..., None]
@@ -223,36 +245,35 @@ def _slope(problem: ProblemSpec, gains: np.ndarray, noise: float, split) -> np.n
 
 
 def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
-                           warm_start_pr: PhaseResponse | None = None) -> tuple:
-    """Maximize the closed-form-split score over the surface phases.
+                           warm_image: np.ndarray | None = None) -> tuple:
+    """Maximize the closed-form-split score over the surface's image v = Phi h.
 
     Runs the direction ascent of the module docstring from three starts,
-    held as rows of one array: the warm start's image Phi_warm h (h itself
+    held as rows of one array: warm_image (h itself, the identity's image,
     when None) and, per user, v = _exposed(g_u), which steers the surface to
-    that user alone. The warm start is read as that image only, never as a
-    matrix. A row stops at its first step that does not raise its score by
-    more than 1e-12 relative, or after _PHASE_STEPS kept steps. Phi is built
-    once, from h and the best row's image, so it never scores below the warm
-    start. Returns the PhaseResponse and that row's trace: its score at its
-    start and after each kept step.
+    that user alone. A row stops at its first step that does not raise its
+    score by more than 1e-12 relative, or after _PHASE_STEPS kept steps.
+    Returns the best row's image, which never scores below the warm start,
+    and that row's trace: its score at its start and after each kept step.
+    No Phi is built (Solution.phase builds one on request).
 
-    Raises ValueError when the warm start is not reflective, or when its
-    image misses |(Phi_warm h)_b| = |h_b| by more than 1e-9 relative in some
-    block, i.e. it is no feasible point of this architecture.
+    Raises ValueError when warm_image is not a length-K vector, or misses
+    |v_b| = |h_b| by more than 1e-9 relative in some block (NaN included),
+    i.e. it is the image of no feasible point of this architecture.
     """
     spec = problem.effective_spec
     bs = spec.block_size
     h, hd, g = ch.h_sat_ris, ch.h_direct, ch.g_ris_user
-    gc_t = g.conj().T
-    h_norms = np.linalg.norm(h.reshape(-1, bs), axis=1)
+    gc_t, hd_c = g.conj().T, hd.conj()
+    h_norms = _norms(h.reshape(-1, bs))
     warm = h
-    if warm_start_pr is not None:
-        if warm_start_pr.mode != "reflective":
-            raise ValueError("warm start must be a reflective phase response")
-        warm = warm_start_pr.phi @ h
-        off = np.abs(np.linalg.norm(warm.reshape(-1, bs), axis=1) - h_norms)
+    if warm_image is not None:
+        warm = np.asarray(warm_image)
+        if warm.shape != h.shape:
+            raise ValueError(f"warm image of shape {warm.shape}, expected {h.shape}")
+        off = np.abs(_norms(warm.reshape(-1, bs)) - h_norms)
         if not np.all(off <= 1e-9 * h_norms):      # NaN fails too
-            raise ValueError(f"the warm start's image is infeasible for the "
+            raise ValueError(f"the warm image is infeasible for the "
                              f"{spec.architecture}-connected surface")
 
     v = np.vstack([warm, _exposed(g, h_norms, h, bs)])
@@ -263,23 +284,28 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     history = [f]
     steps = np.zeros(len(v), dtype=int)
     active = np.ones(len(v), dtype=bool)
+    direct = hd.any()
     for _ in range(_PHASE_STEPS):
         cand = _exposed((w * e) @ g, h_norms, v, bs)
         c = cand @ gc_t
-        # the global phase that maximizes the linearized score (1 without
-        # direct links, where z = 0); by parts, since |z| may be subnormal
-        z = np.sum(w * hd.conj() * c, axis=1)
-        mag = np.abs(z)
-        turn = (np.divide(z.real, mag, out=np.ones_like(mag), where=mag > 0.0)
-                - 1j * np.divide(z.imag, mag, out=np.zeros_like(mag), where=mag > 0.0))
-        e_cand = hd + turn[:, None] * c
+        if direct:
+            # the global phase that maximizes the linearized score, by parts
+            # since |z| may be subnormal; without direct links z = 0, every
+            # phase scores alike and the turn is 1
+            z = np.sum(w * hd_c * c, axis=1)
+            mag = np.abs(z)
+            moved = mag > 0.0
+            turn = (np.divide(z.real, mag, out=np.ones_like(mag), where=moved)
+                    - 1j * np.divide(z.imag, mag, out=np.zeros_like(mag), where=moved))[:, None]
+            cand, c = turn * cand, turn * c
+        e_cand = hd + c
         gains = np.abs(e_cand) ** 2
         f_cand, split = _score(problem, gains, ch.noise_mw)
         active &= f_cand > f + _IMPROVE_MARGIN * np.abs(f)
         if not active.any():
             break
         w_cand = _slope(problem, gains, ch.noise_mw, split)
-        v = np.where(active[:, None], turn[:, None] * cand, v)
+        v = np.where(active[:, None], cand, v)
         e = np.where(active[:, None], e_cand, e)
         w = np.where(active[:, None], w_cand, w)
         f = np.where(active, f_cand, f)
@@ -287,29 +313,28 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
         history.append(f)
     best = int(np.argmax(f))
     trace = tuple(float(scores[best]) for scores in history[:steps[best] + 1])
-    return PhaseResponse.reflective(_surface_from_image(h, v[best], spec)), trace
+    return v[best], trace
 
 
-def _evaluate(ch: ChannelRealization, pr: PhaseResponse,
-              problem: ProblemSpec) -> tuple:
-    """The optimal full-power split on pr and its RateResult, from one
-    evaluation of pr's effective channels. Raises InfeasibleAllocationError
-    when no split meets both minimum rates."""
+def _evaluate(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -> tuple:
+    """The optimal full-power split at the image v = Phi h and its
+    RateResult, from the two effective channels h_d + g^H v. Raises
+    InfeasibleAllocationError when no split meets both minimum rates."""
     if ch.num_users != 2:
         raise ValueError("the power subproblem is defined for exactly 2 users")
-    h_effs = [effective_channel(ch, pr, u) for u in range(2)]
-    strong, weak = order_users(h_effs)
-    alpha_far, feasible, _, _ = _split(problem, abs(h_effs[strong]) ** 2,
-                                       abs(h_effs[weak]) ** 2, ch.noise_mw)
+    gains = np.abs(ch.h_direct + ch.g_ris_user.conj() @ image) ** 2
+    strong = int(np.argmax(gains))    # ties go to the lower index, as in order_users
+    weak = 1 - strong
+    alpha_far, feasible, r_n, r_f, _ = _split(problem, gains[strong], gains[weak], ch.noise_mw)
     if not feasible:
         raise InfeasibleAllocationError(
             f"no full-power split meets the minimum rates (near {problem.min_rate_near}, "
             f"far {problem.min_rate_far})")
     alloc = NomaAllocation(problem.power_mw, 1.0 - float(alpha_far), float(alpha_far))
-    return alloc, achievable_rates(alloc, h_effs[strong], h_effs[weak], ch.noise_mw,
-                                   (strong, weak))
+    return alloc, RateResult(float(r_n), float(r_f), float(r_n + r_f), (strong, weak))
 
 
+# perfbench/spans.py wraps optimizer.solve_power_subproblem by name; nothing here calls it
 def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
                            problem: ProblemSpec) -> NomaAllocation:
     """Optimal full-power split for fixed phases.
@@ -319,16 +344,21 @@ def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
     holds, so the smallest ordered split is optimal (gains tie -> the sum
     rate is split-invariant and the same boundary is returned).
 
-    Raises InfeasibleAllocationError when no split meets both minimum rates.
+    Raises ValueError for a non-reflective pr, and InfeasibleAllocationError
+    when no split meets both minimum rates.
     """
-    return _evaluate(ch, pr, problem)[0]
+    if pr.mode != "reflective":
+        raise ValueError(f"the power subproblem expects a reflective surface, got {pr.mode!r}")
+    return _evaluate(ch, pr.phi @ ch.h_sat_ris, problem)[0]
 
 
 def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
-              warm_start_pr: PhaseResponse | None = None) -> Solution:
-    """Solve one realization: solve_phase_subproblem from warm_start_pr (the
-    identity when None), whose score holds the optimal power split at every
-    step, then one power step and one rate evaluation on the built Phi.
+              warm_image: np.ndarray | None = None) -> Solution:
+    """Solve one realization: solve_phase_subproblem from warm_image (the
+    identity's image h when None), whose score holds the optimal power split
+    at every step, then the split and rates at the image it returns. The
+    Solution carries that image; its phase, a Phi with Phi h = image, is
+    built only when read.
 
     The Solution's trace is the winning start's ascent trace, and converged
     is False only when that start ran into the step cap. Raises
@@ -337,9 +367,10 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
     """
     if ch.num_users != 2:
         raise ValueError("bcd_solve expects exactly 2 users")
-    pr, trace = solve_phase_subproblem(ch, problem, warm_start_pr=warm_start_pr)
-    alloc, rates = _evaluate(ch, pr, problem)
-    return Solution(alloc, pr, rates, trace, len(trace) <= _PHASE_STEPS)
+    image, trace = solve_phase_subproblem(ch, problem, warm_image=warm_image)
+    alloc, rates = _evaluate(ch, image, problem)
+    return Solution(alloc, image, rates, trace, len(trace) <= _PHASE_STEPS,
+                    ch.h_sat_ris, problem.effective_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +441,16 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     The best few local maxima of a coarse grid, in a only with direct links
     (y*(u) turns with u's phase, so each a costs O(1) there), are refined by
     _pattern_search in a chart centred on each, u = e^{ja}(u_0 + xi u_0^perp)
-    / sqrt(1 + |xi|^2), regular where (t, p) is not. Phi is built once and
-    its rates come from the power step, which raises
-    InfeasibleAllocationError when the best direction misses a minimum rate.
+    / sqrt(1 + |xi|^2), regular where (t, p) is not. The rates come from
+    the best direction's image, as in bcd_solve, which raises
+    InfeasibleAllocationError when it misses a minimum rate; Phi is built
+    only when the Solution's phase is read.
     """
     if ch.num_users != 2:
         raise ValueError("exact_oracle expects exactly 2 users")
     spec = problem.effective_spec
     bs = spec.block_size
-    h_norms = np.linalg.norm(ch.h_sat_ris.reshape(-1, bs), axis=1)
+    h_norms = _norms(ch.h_sat_ris.reshape(-1, bs))
     gc_t = ch.g_ris_user.conj().T
 
     def image(u):
@@ -455,6 +487,5 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     spacing = np.array([np.pi / 2.0 / n_t] * 2 + [2.0 * np.pi / n_a] * (n_a > 1))
     x, f = _pattern_search(lambda x: rate(image(chart(x)) @ gc_t), len(u0), spacing)
     v = image(chart(x[:, None, :])[int(np.argmax(f)), 0])
-    pr = PhaseResponse.reflective(_surface_from_image(ch.h_sat_ris, v, spec))
-    alloc, rates = _evaluate(ch, pr, problem)
-    return Solution(alloc, pr, rates, (rates.sum_rate,), True)
+    alloc, rates = _evaluate(ch, v, problem)
+    return Solution(alloc, v, rates, (rates.sum_rate,), True, ch.h_sat_ris, spec)

@@ -1,19 +1,20 @@
 """Sweep harness: pairing, determinism, aggregation, and file emission."""
 
 import csv
+import hashlib
 import io
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from bdris import experiments
+from bdris import experiments, optimizer
 from bdris.channel import GeometryParams, LinkBudgetParams, draw_realization
 from bdris.experiments import (AGGREGATE_HEADER, DETAIL_HEADER, SweepResult,
                                SweepSpec, emit_csv, emit_plot_script,
                                run_element_sweep, run_power_sweep, solve_pair)
 from bdris.optimizer import InfeasibleAllocationError, ProblemSpec
-from bdris.surfaces import RisSpec
+from bdris.surfaces import RisSpec, validate
 
 
 def small_spec(**overrides):
@@ -193,16 +194,16 @@ class TestEmitPlotScript:
 
 
 class TestSolvePair:
-    """CD first, then BD from the CD phases: the one place the schemes pair."""
+    """CD first, then BD from the CD image: the one place the schemes pair."""
 
     @staticmethod
     def counting(monkeypatch):
         calls = []
         solve = experiments.bcd_solve
 
-        def recording(ch, problem, warm_start_pr=None):
-            calls.append((problem.scheme, warm_start_pr))
-            return solve(ch, problem, warm_start_pr=warm_start_pr)
+        def recording(ch, problem, warm_image=None):
+            calls.append((problem.scheme, warm_image))
+            return solve(ch, problem, warm_image=warm_image)
 
         monkeypatch.setattr(experiments, "bcd_solve", recording)
         return calls
@@ -217,7 +218,7 @@ class TestSolvePair:
         pair = solve_pair(self.channel(), ProblemSpec(RisSpec(4, "full"), 10.0))
         assert [scheme for scheme, _ in calls] == ["CD_RIS", "BD_RIS"]
         assert calls[0][1] is None
-        assert calls[1][1] is pair["CD_RIS"].phase
+        assert calls[1][1] is pair["CD_RIS"].image
         assert list(pair) == ["CD_RIS", "BD_RIS"]
         assert pair["BD_RIS"].rates.sum_rate >= pair["CD_RIS"].rates.sum_rate * (1 - 1e-9)
 
@@ -237,3 +238,63 @@ class TestSolvePair:
         solo = run_power_sweep(small_spec(schemes=("BD_RIS",), trials=2))
         paired = run_power_sweep(small_spec(trials=2))
         assert solo.detail_rows == tuple(r for r in paired.detail_rows if r[2] == "BD_RIS")
+
+
+class TestSweepsOnImages:
+    """A sweep writes rates only: it never builds a Phi, and a Phi built on
+    request from one of its solutions is feasible with that image."""
+
+    @pytest.mark.parametrize("direct", [False, True])
+    @pytest.mark.parametrize("ris", [RisSpec(8, "single"), RisSpec(8, "full"),
+                                     RisSpec(8, "group", group_count=4)])
+    def test_sweeps_build_no_phi(self, monkeypatch, ris, direct):
+        built, solutions = [], []
+        build, solve = optimizer._surface_from_image, experiments.bcd_solve
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        def kept(ch, problem, warm_image=None):
+            solutions.append((ch, problem, solve(ch, problem, warm_image=warm_image)))
+            return solutions[-1][2]
+
+        monkeypatch.setattr(optimizer, "_surface_from_image", counted_build)
+        monkeypatch.setattr(experiments, "bcd_solve", kept)
+        spec = small_spec(ris_spec=ris, element_counts=(4, 8), trials=2, include_direct=direct)
+        run_power_sweep(spec)
+        run_element_sweep(spec)
+        assert len(solutions) == 2 * 2 * 2 * 2     # sweeps * points * trials * schemes
+        assert built == []
+        for ch, problem, solution in solutions:
+            phi, image = solution.phase.phi, solution.image
+            assert validate(solution.phase, problem.effective_spec, eps_feas=1e-12).is_feasible
+            assert np.linalg.norm(phi @ ch.h_sat_ris - image) <= 1e-12 * np.linalg.norm(image)
+        assert len(built) == len(solutions)     # one Phi per solution, on its first read
+
+
+def _sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+class TestPinnedSweepBytes:
+    """The sweep CSVs of two small sweeps, byte for byte. A solver change
+    that moves a rate in its printed digits moves a hash: update it only
+    with the moved cells and their cause on record. The bytes follow the
+    floating-point rounding of the numpy and BLAS build that runs them."""
+
+    def test_power_sweep_full_k8(self, tmp_path):
+        spec = small_spec(ris_spec=RisSpec(8, "full"), trials=3)
+        paths = emit_csv(run_power_sweep(spec), str(tmp_path / "power.csv"))
+        assert [_sha256(p) for p in paths] == [
+            "af72f01ce135afa922a9cef83b976e6ea4a5573e76ab5d24eec65ee456afee43",
+            "8a04cf7fef5fb84fb700af3a7d2591d2842673ea6a70ac45937c1529baf1437a"]
+
+    def test_element_sweep_g2_with_direct_links(self, tmp_path):
+        spec = small_spec(ris_spec=RisSpec(4, "group", group_count=2), element_counts=(4, 8),
+                          include_direct=True, trials=3)
+        paths = emit_csv(run_element_sweep(spec), str(tmp_path / "elements.csv"))
+        assert [_sha256(p) for p in paths] == [
+            "e0c0ec80bf288a9d13b37bce0190d69af55efc29ddd8138cd7269f95ffe2f8c6",
+            "ecac92ab3fdf798a808185c22b9dde1db9fc2ec502e68e914b529472dbdd1e34"]

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bdris import optimizer
 from bdris.channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
@@ -38,7 +38,11 @@ def gain_channel(gamma_strong, gamma_weak, noise=1.0):
                               np.zeros((2, 1), dtype=complex), noise)
 
 
-IDENTITY_1 = PhaseResponse.reflective(np.eye(1, dtype=complex))
+def identity(spec):
+    return PhaseResponse.reflective(np.eye(spec.num_elements, dtype=complex))
+
+
+IDENTITY_1 = identity(RisSpec(1))
 
 
 class TestProblemSpec:
@@ -95,6 +99,12 @@ class TestPowerSubproblem:
         problem = ProblemSpec(RisSpec(1), power_dbm=10.0, min_rate_far=0.5)
         with pytest.raises(InfeasibleAllocationError):
             solve_power_subproblem(ch, IDENTITY_1, problem)
+
+    def test_rejects_non_reflective_phases(self):
+        ch = gain_channel(2.0, 0.5)
+        with pytest.raises(ValueError, match="reflective"):
+            solve_power_subproblem(ch, PhaseResponse.transmissive(np.eye(1)),
+                                   ProblemSpec(RisSpec(1), 10.0))
 
     def test_returned_split_is_grid_optimal(self):
         # no alpha on a fine grid beats the closed-form split
@@ -310,13 +320,18 @@ class TestSurfaceFromImage:
             assert np.linalg.norm(phi[sl, sl] @ x - z[b] * x) <= 1e-12 * np.linalg.norm(r)
 
 
+def surface(ch, image, spec):
+    """The Phi a Solution builds on request for an image."""
+    return PhaseResponse.reflective(_surface_from_image(ch.h_sat_ris, image, spec))
+
+
 class TestPhaseSubproblem:
     def test_single_user_reaches_coherent_bound(self):
         for seed in range(5):
             ch = unit_channel(8, users=1, direct_scale=1.0, seed=seed)
             problem = ProblemSpec(RisSpec(8, "full", "reflective"), power_dbm=10.0)
-            pr, _ = solve_phase_subproblem(ch, problem)
-            gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ (pr.phi @ ch.h_sat_ris))
+            image, _ = solve_phase_subproblem(ch, problem)
+            gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ image)
             bound = abs(ch.h_direct[0]) + np.linalg.norm(ch.g_ris_user[0]) * np.linalg.norm(ch.h_sat_ris)
             assert gain >= 0.999 * bound
             assert gain <= bound * (1 + 1e-9)
@@ -324,8 +339,8 @@ class TestPhaseSubproblem:
     def test_diagonal_single_user_aligns_every_element(self):
         ch = unit_channel(6, users=1, seed=3)
         problem = ProblemSpec(RisSpec(6, "single", "reflective"), power_dbm=10.0)
-        pr, _ = solve_phase_subproblem(ch, problem)
-        gain = abs(ch.g_ris_user[0].conj() @ (pr.phi @ ch.h_sat_ris))
+        image, _ = solve_phase_subproblem(ch, problem)
+        gain = abs(ch.g_ris_user[0].conj() @ image)
         bound = np.sum(np.abs(ch.g_ris_user[0]) * np.abs(ch.h_sat_ris))
         assert gain >= 0.999 * bound
 
@@ -333,8 +348,8 @@ class TestPhaseSubproblem:
         ch = unit_channel(12, seed=9)
         for spec in (RisSpec(12, "single"), RisSpec(12, "full"),
                      RisSpec(12, "group", group_count=3)):
-            pr, _ = solve_phase_subproblem(ch, ProblemSpec(spec, 10.0))
-            assert validate(pr, spec).is_feasible
+            image, _ = solve_phase_subproblem(ch, ProblemSpec(spec, 10.0))
+            assert validate(surface(ch, image, spec), spec).is_feasible
 
     def test_never_below_warm_start_sum_rate(self):
         # without minimum rates the closed-form split is the even one
@@ -343,8 +358,8 @@ class TestPhaseSubproblem:
             ch = unit_channel(4, seed=seed, direct_scale=0.7)
             problem = ProblemSpec(RisSpec(4, "full"), 10.0)
             warm = random_feasible(RisSpec(4, "full"), seed + 100)
-            pr, _ = solve_phase_subproblem(ch, problem, warm_start_pr=warm)
-            assert (sum_rate_at(ch, pr, alloc).sum_rate
+            image, _ = solve_phase_subproblem(ch, problem, warm_image=warm.phi @ ch.h_sat_ris)
+            assert (sum_rate_at(ch, surface(ch, image, problem.ris_spec), alloc).sum_rate
                     >= sum_rate_at(ch, warm, alloc).sum_rate - 1e-12)
 
     @pytest.mark.parametrize("spec,direct", [
@@ -358,16 +373,17 @@ class TestPhaseSubproblem:
         ch = draw_realization(GeometryParams(), LinkBudgetParams(), 80, num_users=2,
                               include_direct=direct, rng=np.random.default_rng(3))
         problem = ProblemSpec(spec, power_dbm=10.0)
-        pr, trace = solve_phase_subproblem(ch, problem)
-        again, trace_again = solve_phase_subproblem(ch, problem, warm_start_pr=pr)
+        image, trace = solve_phase_subproblem(ch, problem)
+        warm = surface(ch, image, spec).phi @ ch.h_sat_ris
+        again, trace_again = solve_phase_subproblem(ch, problem, warm_image=warm)
         assert trace_again[-1] == pytest.approx(trace[-1], rel=1e-12)
-        assert validate(again, spec).is_feasible
+        assert validate(surface(ch, again, spec), spec).is_feasible
 
-    def test_rejects_non_reflective_warm_start(self):
+    def test_rejects_a_warm_image_of_another_length(self):
         ch = unit_channel(4)
-        warm = PhaseResponse.transmissive(np.eye(4))
-        with pytest.raises(ValueError):
-            solve_phase_subproblem(ch, ProblemSpec(RisSpec(4), 10.0), warm_start_pr=warm)
+        for warm in (np.ones(3, dtype=complex), np.eye(4, dtype=complex)):
+            with pytest.raises(ValueError, match="shape"):
+                solve_phase_subproblem(ch, ProblemSpec(RisSpec(4), 10.0), warm_image=warm)
 
 
 def default_draw():
@@ -401,6 +417,7 @@ class TestBcdSolve:
         a = bcd_solve(ch, problem)
         b = bcd_solve(ch, problem)
         assert a.rates.sum_rate == b.rates.sum_rate
+        assert np.array_equal(a.image, b.image)
         assert np.array_equal(a.phase.phi, b.phase.phi)
 
     def test_dominates_conventional_baseline(self):
@@ -408,7 +425,7 @@ class TestBcdSolve:
             ch = unit_channel(16, seed=seed)
             cd = bcd_solve(ch, ProblemSpec(RisSpec(16, "full"), 10.0, scheme="CD_RIS"))
             bd = bcd_solve(ch, ProblemSpec(RisSpec(16, "full"), 10.0, scheme="BD_RIS"),
-                           warm_start_pr=cd.phase)
+                           warm_image=cd.phase.phi @ ch.h_sat_ris)
             assert bd.rates.sum_rate >= cd.rates.sum_rate - 1e-12
 
     def test_group_architecture_phases_feasible(self):
@@ -444,10 +461,27 @@ class TestBcdSolve:
         floor = reach * np.log2(1.0 + 10.0 * weak / ch.noise_mw)
         problem = ProblemSpec(spec, 10.0, min_rate_far=floor)
         start = sum_rate_at(ch, warm, solve_power_subproblem(ch, warm, problem))
-        solution = bcd_solve(ch, problem, warm_start_pr=warm)
+        solution = bcd_solve(ch, problem, warm_image=warm.phi @ ch.h_sat_ris)
         assert validate(solution.phase, spec).is_feasible
         assert solution.rates.sum_rate >= start.sum_rate * (1.0 - 1e-12)
         assert solution.rates.rate_far >= floor * (1.0 - 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
+                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
+                              if k % g == 0]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]), st.booleans())
+    def test_property_rates_of_the_image_are_those_of_phi(self, shape, seed, direct, floor):
+        # a binding far floor: above 1 bit, which no even split reaches,
+        # and within reach of the identity start with all the power
+        spec = any_spec(*shape)
+        ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct, noise=0.1)
+        weak = min(abs(effective_channel(ch, identity(spec), u)) ** 2 for u in range(2))
+        reach = 0.9 * np.log2(1.0 + 10.0 * weak / ch.noise_mw)
+        assume(not floor or reach > 1.0)
+        solution = bcd_solve(ch, ProblemSpec(spec, 10.0, min_rate_far=reach if floor else 0.0))
+        assert (solution.allocation.alpha_far > 0.5) == floor
+        assert_rates_of_phi(ch, solution)
 
     @pytest.mark.parametrize("spec", [RisSpec(8, "single"), RisSpec(8, "group", group_count=4)])
     def test_rejects_a_warm_start_with_an_infeasible_image(self, spec):
@@ -458,7 +492,11 @@ class TestBcdSolve:
             ch = unit_channel(8, seed=seed)
             full = bcd_solve(ch, ProblemSpec(RisSpec(8, "full"), 10.0)).phase
             with pytest.raises(ValueError, match=spec.architecture):
-                bcd_solve(ch, ProblemSpec(spec, 10.0), warm_start_pr=full)
+                bcd_solve(ch, ProblemSpec(spec, 10.0), warm_image=full.phi @ ch.h_sat_ris)
+        # NaN meets no norm
+        warm = np.where(np.arange(8) == 3, np.nan, ch.h_sat_ris)
+        with pytest.raises(ValueError, match=spec.architecture):
+            bcd_solve(ch, ProblemSpec(spec, 10.0), warm_image=warm)
 
     def test_only_the_warm_image_counts(self):
         # a rank-one warm matrix with a feasible image starts the solve from
@@ -470,7 +508,7 @@ class TestBcdSolve:
             image = random_feasible(spec, seed).phi @ h
             warm = PhaseResponse.reflective(np.outer(image, h.conj()) / np.vdot(h, h))
             start = sum_rate_at(ch, warm, NomaAllocation(10.0, 0.5, 0.5)).sum_rate
-            solution = bcd_solve(ch, ProblemSpec(spec, 10.0), warm_start_pr=warm)
+            solution = bcd_solve(ch, ProblemSpec(spec, 10.0), warm_image=warm.phi @ h)
             assert validate(solution.phase, spec, eps_feas=1e-12).is_feasible
             assert solution.rates.sum_rate >= start * (1.0 - 1e-12)
 
@@ -493,7 +531,8 @@ class TestBcdSolve:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "_exposed", recording)
-            solution = bcd_solve(ch, ProblemSpec(spec, 10.0), warm_start_pr=start)
+            solution = bcd_solve(ch, ProblemSpec(spec, 10.0),
+                                 warm_image=None if start is None else images[0])
         bs = spec.block_size
         norms = block_norms(ch.h_sat_ris, bs)
         assert len(images) > 2
@@ -509,7 +548,7 @@ class TestBcdSolve:
         ch = default_draw()
         problem = ProblemSpec(RisSpec(80, "full"), 20.0, min_rate_far=floor)
         cd = bcd_solve(ch, replace(problem, scheme="CD_RIS"))
-        bd = bcd_solve(ch, problem, warm_start_pr=cd.phase)
+        bd = bcd_solve(ch, problem, warm_image=cd.phase.phi @ ch.h_sat_ris)
         for solution, scheme in ((cd, "CD_RIS"), (bd, "BD_RIS")):
             assert solution.rates.rate_far >= floor * (1.0 - 1e-12)
             assert solution.allocation.alpha_far > 0.5
@@ -530,7 +569,18 @@ class TestBcdSolve:
 def sum_rate_at(ch, pr, alloc):
     h_effs = [effective_channel(ch, pr, u) for u in range(2)]
     s, w = order_users(h_effs)
-    return achievable_rates(alloc, h_effs[s], h_effs[w], ch.noise_mw)
+    return achievable_rates(alloc, h_effs[s], h_effs[w], ch.noise_mw, (s, w))
+
+
+def assert_rates_of_phi(ch, solution):
+    """The rates a Solution takes from its image are those of the Phi it
+    builds on request, in the same SIC order, to 1e-12 relative: Phi h
+    matches the image only to rounding, and rates sit near 1e-13."""
+    rates = sum_rate_at(ch, solution.phase, solution.allocation)
+    assert solution.rates.sic_order == rates.sic_order
+    for name in ("rate_near", "rate_far", "sum_rate"):
+        assert getattr(solution.rates, name) == pytest.approx(getattr(rates, name),
+                                                              rel=1e-12, abs=0.0)
 
 
 def eigen_sweep_optimum(ch, problem):
@@ -619,7 +669,7 @@ class TestExactOracle:
                               include_direct=True, rng=np.random.default_rng(5))
         solution = exact_oracle(ch, ProblemSpec(spec, 20.0))
         assert validate(solution.phase, spec).is_feasible
-        assert solution.rates == sum_rate_at(ch, solution.phase, solution.allocation)
+        assert_rates_of_phi(ch, solution)
 
     def test_satellite_scale_agreement(self):
         geom, lb = GeometryParams(), LinkBudgetParams()
@@ -674,7 +724,8 @@ class TestExactOracle:
             ch = draw_realization(GeometryParams(), LinkBudgetParams(), k, num_users=2,
                                   rng=np.random.default_rng(seed))
             cd = bcd_solve(ch, replace(problem, scheme="CD_RIS"))
-            solved = bcd_solve(ch, problem, warm_start_pr=cd.phase).rates.sum_rate
+            solved = bcd_solve(ch, problem,
+                               warm_image=cd.phase.phi @ ch.h_sat_ris).rates.sum_rate
             assert solved == pytest.approx(eigen_sweep_optimum(ch, problem), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("k,arch,direct", [(k, arch, direct) for k in (2, 8)
