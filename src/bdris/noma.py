@@ -70,28 +70,18 @@ def sic_rates(p, a_n, a_f, g_s, g_w, noise):
     decodability at the strong user is implied by g_s >= g_w together with
     a_f >= a_n and is not separately constrained.
     """
-    return sic_terms(p, a_n, a_f, g_s, g_w, noise)[:2]
+    rate_near = np.log1p(p * a_n * g_s / noise) / LN2
+    rate_far = np.log1p(p * a_f * g_w / (p * a_n * g_w + noise)) / LN2
+    return rate_near, rate_far
 
 
-def sic_terms(p, a_n, a_f, g_s, g_w, noise):
-    """sic_rates' (rate_near, rate_far) and the products (p a_n, p a_n g_s,
-    p a_n g_w + noise) they share with sic_rate_gradient."""
-    p_near = p * a_n
-    near = p_near * g_s
-    far_den = p_near * g_w + noise
-    return (np.log1p(near / noise) / LN2, np.log1p(p * a_f * g_w / far_den) / LN2,
-            (p_near, near, far_den))
-
-
-def sic_rate_gradient(p, a_n, a_f, g_w, noise, products):
+def sic_rate_gradient(p, a_n, a_f, g_s, g_w, noise):
     """Partial derivatives of rate_near + rate_far from sic_rates with
-    respect to g_s and g_w, broadcasting like sic_rates. products is the
-    last item of sic_terms at the same arguments, so the gradient forms
-    none of them again."""
-    p_near, near, far_den = products
+    respect to g_s and g_w, broadcasting like sic_rates."""
+    p_near = p * a_n
     p_total = p * (a_n + a_f)
-    d_strong = p_near / (near + noise) / LN2
-    d_weak = (p_total / (p_total * g_w + noise) - p_near / far_den) / LN2
+    d_strong = p_near / (p_near * g_s + noise) / LN2
+    d_weak = (p_total / (p_total * g_w + noise) - p_near / (p_near * g_w + noise)) / LN2
     return d_strong, d_weak
 
 

@@ -4,10 +4,11 @@ Sum-rate maximization over power split and surface phases.
 With a single satellite feed Phi enters the rates only through its image
 v = Phi h, and the feasible images are exactly the vectors with |v_b| = |h_b|
 per block (bs = 1 is the diagonal surface). The solver and the exact oracle
-both work on v for every architecture: they return v, and take the power
-split and the rates from its two effective channels h_d + g^H v. A Solution
-builds Phi only when its phase is read, from h and v alone
-(_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
+both search over v for every architecture. The solver returns v and takes
+the power split and the rates from its two effective channels h_d + g^H v;
+its Solution builds Phi only when its phase is read. The oracle builds Phi
+and reports that Phi's rates, as a reference. Phi is built from h and v
+alone (_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
 c c^H/(1 + s)) with z = h_b^H v_b/|h_b^H v_b|, a' = z h_b/|h_b|, v' =
 v_b/|h_b|, c = a' + v' and s = a'^H v' >= 0, the rotation of span{h_b, v_b}
 that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
@@ -64,13 +65,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, db_to_linear
-from .noma import (LN2, NomaAllocation, RateResult, min_power_split_for_far_rate,
-                   sic_rate_gradient, sic_terms)
+from .channel import ChannelRealization, db_to_linear, effective_channel
+from .noma import (LN2, NomaAllocation, RateResult, achievable_rates,
+                   min_power_split_for_far_rate, order_users, sic_rate_gradient,
+                   sic_rates)
 from .surfaces import PhaseResponse, RisSpec, block_diagonal
-# perfbench/spans.py wraps these optimizer attributes by name; nothing here calls them
-from .channel import effective_channel  # noqa: F401
-from .noma import achievable_rates  # noqa: F401
+# perfbench/spans.py wraps optimizer.project_feasible by name; nothing here calls it
 from .surfaces import project_feasible  # noqa: F401
 
 SCHEMES = ("BD_RIS", "CD_RIS")
@@ -195,15 +195,14 @@ def _surface_from_image(h: np.ndarray, v: np.ndarray, spec: RisSpec) -> np.ndarr
 
 def _split(problem: ProblemSpec, g_s, g_w, noise: float):
     """The optimal full-power split alpha_far = max(0.5, alpha_far*) (at most
-    1), whether it meets both minimum rates, its (rate_near, rate_far), and
-    the products those rates share with their slope (noma.sic_terms), per
-    pair of strong and weak gains (all broadcast)."""
+    1), whether it meets both minimum rates, and its (rate_near, rate_far),
+    per pair of strong and weak gains (all broadcast)."""
     p = problem.power_mw
     a_star = min_power_split_for_far_rate(problem.min_rate_far, p, g_w, noise)
     alpha_far = np.minimum(np.maximum(0.5, a_star), 1.0)
-    r_n, r_f, products = sic_terms(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
+    r_n, r_f = sic_rates(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
     feasible = (a_star <= 1.0 + 1e-12) & (r_n >= problem.min_rate_near * (1.0 - 1e-12))
-    return alpha_far, feasible, r_n, r_f, products
+    return alpha_far, feasible, r_n, r_f
 
 
 def _score(problem: ProblemSpec, gains: np.ndarray, noise: float):
@@ -213,31 +212,30 @@ def _score(problem: ProblemSpec, gains: np.ndarray, noise: float):
     is both strong and weak. Returns the score and the split it was taken at,
     which _slope reads, so a caller that needs no slope computes none."""
     g_s, g_w = gains.max(axis=-1), gains.min(axis=-1)
-    alpha_far, feasible, r_n, r_f, products = _split(problem, g_s, g_w, noise)
+    alpha_far, feasible, r_n, r_f = _split(problem, g_s, g_w, noise)
     short_f = np.maximum(problem.min_rate_far - r_f, 0.0)
     score = np.where(feasible, r_n + r_f,
                      -(np.maximum(problem.min_rate_near - r_n, 0.0) + short_f))
-    return score, (g_s, g_w, alpha_far, feasible, short_f, products)
+    return score, (g_s, g_w, alpha_far, feasible, short_f)
 
 
 def _slope(problem: ProblemSpec, gains: np.ndarray, noise: float, split) -> np.ndarray:
     """Total derivative of _score in the gains, at the split _score returned
     for the same gains."""
     p = problem.power_mw
-    g_s, g_w, alpha_far, feasible, short_f, products = split
-    d_s, d_w = sic_rate_gradient(p, 1.0 - alpha_far, alpha_far, g_w, noise, products)
+    g_s, g_w, alpha_far, feasible, short_f = split
+    d_s, d_w = sic_rate_gradient(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
     # Where the far floor r binds, the far rate stays at r as g_w grows, and
     # alpha_far = c (1 + noise/(p g_w)), c = 1 - 2^-r, falls by
     # (alpha_far - c)/g_w per unit of g_w: the weak gain buys near rate.
     # Elsewhere the split is fixed, and a far rate above its floor does not
     # count in a shortfall (nor does a near rate, but where it meets its
     # floor and the far one does not, the split is 1 and d_s = 0).
-    w_weak = np.where(feasible | (short_f > 0.0), d_w, 0.0)
     binding = (alpha_far > 0.5) & (alpha_far < 1.0)
-    if binding.any():      # never without a far floor
-        slide = np.divide(alpha_far + np.expm1(-problem.min_rate_far * LN2), g_w,
-                          out=np.zeros_like(g_w), where=binding)
-        w_weak = np.where(binding, p * g_s * slide / ((products[1] + noise) * LN2), w_weak)
+    slide = np.divide(alpha_far + np.expm1(-problem.min_rate_far * LN2), g_w,
+                      out=np.zeros_like(g_w), where=binding)
+    w_weak = np.where(binding, p * g_s * slide / ((p * (1.0 - alpha_far) * g_s + noise) * LN2),
+                      np.where(feasible | (short_f > 0.0), d_w, 0.0))
     users = np.arange(gains.shape[-1])
     strong = np.argmax(gains, axis=-1)[..., None]   # ties go to the lower index, as in order_users
     return ((users == strong) * d_s[..., None]
@@ -316,22 +314,39 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     return v[best], trace
 
 
-def _evaluate(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -> tuple:
-    """The optimal full-power split at the image v = Phi h and its
-    RateResult, from the two effective channels h_d + g^H v. Raises
-    InfeasibleAllocationError when no split meets both minimum rates."""
-    if ch.num_users != 2:
-        raise ValueError("the power subproblem is defined for exactly 2 users")
-    gains = np.abs(ch.h_direct + ch.g_ris_user.conj() @ image) ** 2
-    strong = int(np.argmax(gains))    # ties go to the lower index, as in order_users
-    weak = 1 - strong
-    alpha_far, feasible, r_n, r_f, _ = _split(problem, gains[strong], gains[weak], ch.noise_mw)
+def _allocate(problem: ProblemSpec, g_s: float, g_w: float, noise: float) -> tuple:
+    """The optimal full-power split at one pair of strong and weak gains and
+    its (rate_near, rate_far). Raises InfeasibleAllocationError when no
+    split meets both minimum rates."""
+    alpha_far, feasible, r_n, r_f = _split(problem, g_s, g_w, noise)
     if not feasible:
         raise InfeasibleAllocationError(
             f"no full-power split meets the minimum rates (near {problem.min_rate_near}, "
             f"far {problem.min_rate_far})")
-    alloc = NomaAllocation(problem.power_mw, 1.0 - float(alpha_far), float(alpha_far))
-    return alloc, RateResult(float(r_n), float(r_f), float(r_n + r_f), (strong, weak))
+    return NomaAllocation(problem.power_mw, 1.0 - float(alpha_far), float(alpha_far)), r_n, r_f
+
+
+def _evaluate_image(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -> tuple:
+    """The optimal full-power split at the image v = Phi h and its
+    RateResult, from the two effective channels h_d + g^H v."""
+    gains = np.abs(ch.h_direct + ch.g_ris_user.conj() @ image) ** 2
+    strong = int(np.argmax(gains))    # ties go to the lower index, as in order_users
+    alloc, r_n, r_f = _allocate(problem, gains[strong], gains[1 - strong], ch.noise_mw)
+    return alloc, RateResult(float(r_n), float(r_f), float(r_n + r_f), (strong, 1 - strong))
+
+
+def _evaluate(ch: ChannelRealization, pr: PhaseResponse,
+              problem: ProblemSpec) -> tuple:
+    """The optimal full-power split on pr and its RateResult, from one
+    evaluation of pr's effective channels."""
+    if ch.num_users != 2:
+        raise ValueError("the power subproblem is defined for exactly 2 users")
+    h_effs = [effective_channel(ch, pr, u) for u in range(2)]
+    strong, weak = order_users(h_effs)
+    alloc, _, _ = _allocate(problem, abs(h_effs[strong]) ** 2, abs(h_effs[weak]) ** 2,
+                            ch.noise_mw)
+    return alloc, achievable_rates(alloc, h_effs[strong], h_effs[weak], ch.noise_mw,
+                                   (strong, weak))
 
 
 # perfbench/spans.py wraps optimizer.solve_power_subproblem by name; nothing here calls it
@@ -344,12 +359,9 @@ def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
     holds, so the smallest ordered split is optimal (gains tie -> the sum
     rate is split-invariant and the same boundary is returned).
 
-    Raises ValueError for a non-reflective pr, and InfeasibleAllocationError
-    when no split meets both minimum rates.
+    Raises InfeasibleAllocationError when no split meets both minimum rates.
     """
-    if pr.mode != "reflective":
-        raise ValueError(f"the power subproblem expects a reflective surface, got {pr.mode!r}")
-    return _evaluate(ch, pr.phi @ ch.h_sat_ris, problem)[0]
+    return _evaluate(ch, pr, problem)[0]
 
 
 def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
@@ -368,7 +380,7 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
     if ch.num_users != 2:
         raise ValueError("bcd_solve expects exactly 2 users")
     image, trace = solve_phase_subproblem(ch, problem, warm_image=warm_image)
-    alloc, rates = _evaluate(ch, image, problem)
+    alloc, rates = _evaluate_image(ch, image, problem)
     return Solution(alloc, image, rates, trace, len(trace) <= _PHASE_STEPS,
                     ch.h_sat_ris, problem.effective_spec)
 
@@ -441,10 +453,10 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     The best few local maxima of a coarse grid, in a only with direct links
     (y*(u) turns with u's phase, so each a costs O(1) there), are refined by
     _pattern_search in a chart centred on each, u = e^{ja}(u_0 + xi u_0^perp)
-    / sqrt(1 + |xi|^2), regular where (t, p) is not. The rates come from
-    the best direction's image, as in bcd_solve, which raises
-    InfeasibleAllocationError when it misses a minimum rate; Phi is built
-    only when the Solution's phase is read.
+    / sqrt(1 + |xi|^2), regular where (t, p) is not. As a reference, the
+    oracle reports the rates of the Phi that its Solution's phase builds
+    from the best direction's image (through effective_channel), and raises
+    InfeasibleAllocationError when that Phi misses a minimum rate.
     """
     if ch.num_users != 2:
         raise ValueError("exact_oracle expects exactly 2 users")
@@ -487,5 +499,6 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     spacing = np.array([np.pi / 2.0 / n_t] * 2 + [2.0 * np.pi / n_a] * (n_a > 1))
     x, f = _pattern_search(lambda x: rate(image(chart(x)) @ gc_t), len(u0), spacing)
     v = image(chart(x[:, None, :])[int(np.argmax(f)), 0])
-    alloc, rates = _evaluate(ch, v, problem)
+    phase = PhaseResponse.reflective(_surface_from_image(ch.h_sat_ris, v, spec))
+    alloc, rates = _evaluate(ch, phase, problem)
     return Solution(alloc, v, rates, (rates.sum_rate,), True, ch.h_sat_ris, spec)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdris.noma import (NomaAllocation, achievable_rates,
                         min_power_split_for_far_rate, order_users,
-                        sic_rate_gradient, sic_rates, sic_terms)
+                        sic_rate_gradient, sic_rates)
 
 LOG2_9 = 3.1699250014423124
 
@@ -101,8 +101,7 @@ class TestSicRateGradient:
         # the fractions sum to 1, or to less when near_share < 1
         g_s, g_w = 10.0 ** max(exp_a, exp_b), 10.0 ** min(exp_a, exp_b)
         p, a_n = 10.0 ** exp_p, (1.0 - a_f) * near_share
-        d_strong, d_weak = sic_rate_gradient(p, a_n, a_f, g_w, 1.0,
-                                             sic_terms(p, a_n, a_f, g_s, g_w, 1.0)[2])
+        d_strong, d_weak = sic_rate_gradient(p, a_n, a_f, g_s, g_w, 1.0)
         # each gain moves one of the two rates; differencing that rate alone
         # keeps the other one's rounding out of the quotient
         step_s, step_w = 1e-4 * g_s, 1e-4 * g_w
