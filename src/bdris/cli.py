@@ -162,7 +162,6 @@ def _cmd_sweep(cfg: SimConfig, kind: str, workers: int) -> int:
     else:
         result = run_element_sweep(sweep, workers=workers)
         stem = "element_sweep"
-    os.makedirs(cfg.out_dir, exist_ok=True)
     detail_path, agg_path = emit_csv(result, os.path.join(cfg.out_dir, stem + ".csv"))
     script_path = emit_plot_script(result, os.path.join(cfg.out_dir, stem + ".gp"),
                                    os.path.basename(agg_path))

@@ -43,19 +43,14 @@ class SweepSpec:
     power_dbm: float = 20.0       # fixed transmit power for the element sweep
     trials: int = 200
     base_seed: int = 12345
-    schemes: tuple = SCHEMES
     include_direct: bool = False
     min_rate_near: float = 0.0    # bps/Hz
     min_rate_far: float = 0.0     # bps/Hz
+    schemes = SCHEMES             # not a field: every trial solves both (solve_pair)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.schemes:
-            raise ValueError("at least one scheme is required")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}")
         if self.ris_spec.mode != "reflective":
             raise ValueError("sweeps support reflective surfaces only")
         if not self.power_points_dbm or not self.element_counts:

@@ -4,11 +4,13 @@ Sum-rate maximization over power split and surface phases.
 With a single satellite feed Phi enters the rates only through its image
 v = Phi h, and the feasible images are exactly the vectors with |v_b| = |h_b|
 per block (bs = 1 is the diagonal surface). The solver and the exact oracle
-both search over v for every architecture. The solver returns v and takes
-the power split and the rates from its two effective channels h_d + g^H v;
-its Solution builds Phi only when its phase is read. The oracle builds Phi
-and reports that Phi's rates, as a reference. Phi is built from h and v
-alone (_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
+both search over v for every architecture, and both take the power split
+and the rates from one route (_evaluate): an image in, its two effective
+channels h_d[u] + g_u^H v, the users ordered by gain, the closed-form split
+and its RateResult out. The solver passes the image it returns, and its
+Solution builds Phi only when its phase is read; the oracle builds Phi and
+passes Phi h, so it reports that Phi's rates, as a reference. Phi is built
+from h and v alone (_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
 c c^H/(1 + s)) with z = h_b^H v_b/|h_b^H v_b|, a' = z h_b/|h_b|, v' =
 v_b/|h_b|, c = a' + v' and s = a'^H v' >= 0, the rotation of span{h_b, v_b}
 that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
@@ -65,12 +67,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, db_to_linear, effective_channel
-from .noma import (LN2, NomaAllocation, RateResult, achievable_rates,
-                   min_power_split_for_far_rate, order_users, sic_rate_gradient,
-                   sic_rates)
+from .channel import ChannelRealization, db_to_linear
+from .noma import (LN2, NomaAllocation, RateResult, min_power_split_for_far_rate,
+                   sic_rate_gradient, sic_rates)
 from .surfaces import PhaseResponse, RisSpec, block_diagonal
-# perfbench/spans.py wraps optimizer.project_feasible by name; nothing here calls it
+# perfbench/spans.py wraps these by name in this module; nothing here calls them
+from .channel import effective_channel  # noqa: F401
+from .noma import achievable_rates  # noqa: F401
 from .surfaces import project_feasible  # noqa: F401
 
 SCHEMES = ("BD_RIS", "CD_RIS")
@@ -120,9 +123,13 @@ class Solution:
     image: np.ndarray     # v = Phi h, the surface as the rates see it
     rates: RateResult
     trace: tuple          # the winning start's score, at its start and after each kept step
-    converged: bool       # False only when that start ran into the step cap
     h_sat_ris: np.ndarray = field(repr=False)   # the h of v = Phi h
     spec: RisSpec = field(repr=False)           # the feasible set v lies in
+
+    @property
+    def converged(self) -> bool:
+        """False only when the winning start ran into the step cap."""
+        return len(self.trace) <= _PHASE_STEPS
 
     @functools.cached_property
     def phase(self) -> PhaseResponse:
@@ -314,39 +321,25 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     return v[best], trace
 
 
-def _allocate(problem: ProblemSpec, g_s: float, g_w: float, noise: float) -> tuple:
-    """The optimal full-power split at one pair of strong and weak gains and
-    its (rate_near, rate_far). Raises InfeasibleAllocationError when no
-    split meets both minimum rates."""
-    alpha_far, feasible, r_n, r_f = _split(problem, g_s, g_w, noise)
+def _evaluate(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -> tuple:
+    """The optimal full-power split at the image v = Phi h and its
+    RateResult, from the two effective channels h_d[u] + g_u^H v, each formed
+    as channel.effective_channel forms it. Raises ValueError unless there are
+    exactly 2 users, and InfeasibleAllocationError when no split meets both
+    minimum rates."""
+    if ch.num_users != 2:
+        raise ValueError("the sum-rate problem is defined for exactly 2 users")
+    gains = [abs(complex(ch.h_direct[u] + ch.g_ris_user[u].conj() @ image)) ** 2
+             for u in range(2)]
+    strong = int(gains[1] > gains[0])     # ties go to the lower index, as in order_users
+    alpha_far, feasible, r_n, r_f = _split(problem, gains[strong], gains[1 - strong],
+                                           ch.noise_mw)
     if not feasible:
         raise InfeasibleAllocationError(
             f"no full-power split meets the minimum rates (near {problem.min_rate_near}, "
             f"far {problem.min_rate_far})")
-    return NomaAllocation(problem.power_mw, 1.0 - float(alpha_far), float(alpha_far)), r_n, r_f
-
-
-def _evaluate_image(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -> tuple:
-    """The optimal full-power split at the image v = Phi h and its
-    RateResult, from the two effective channels h_d + g^H v."""
-    gains = np.abs(ch.h_direct + ch.g_ris_user.conj() @ image) ** 2
-    strong = int(np.argmax(gains))    # ties go to the lower index, as in order_users
-    alloc, r_n, r_f = _allocate(problem, gains[strong], gains[1 - strong], ch.noise_mw)
+    alloc = NomaAllocation(problem.power_mw, 1.0 - float(alpha_far), float(alpha_far))
     return alloc, RateResult(float(r_n), float(r_f), float(r_n + r_f), (strong, 1 - strong))
-
-
-def _evaluate(ch: ChannelRealization, pr: PhaseResponse,
-              problem: ProblemSpec) -> tuple:
-    """The optimal full-power split on pr and its RateResult, from one
-    evaluation of pr's effective channels."""
-    if ch.num_users != 2:
-        raise ValueError("the power subproblem is defined for exactly 2 users")
-    h_effs = [effective_channel(ch, pr, u) for u in range(2)]
-    strong, weak = order_users(h_effs)
-    alloc, _, _ = _allocate(problem, abs(h_effs[strong]) ** 2, abs(h_effs[weak]) ** 2,
-                            ch.noise_mw)
-    return alloc, achievable_rates(alloc, h_effs[strong], h_effs[weak], ch.noise_mw,
-                                   (strong, weak))
 
 
 # perfbench/spans.py wraps optimizer.solve_power_subproblem by name; nothing here calls it
@@ -359,30 +352,30 @@ def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
     holds, so the smallest ordered split is optimal (gains tie -> the sum
     rate is split-invariant and the same boundary is returned).
 
-    Raises InfeasibleAllocationError when no split meets both minimum rates.
+    Raises ValueError for a non-reflective pr and InfeasibleAllocationError
+    when no split meets both minimum rates.
     """
-    return _evaluate(ch, pr, problem)[0]
+    if pr.mode != "reflective":
+        raise ValueError(f"expected a reflective surface, got mode {pr.mode!r}")
+    return _evaluate(ch, pr.phi @ ch.h_sat_ris, problem)[0]
 
 
 def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
               warm_image: np.ndarray | None = None) -> Solution:
     """Solve one realization: solve_phase_subproblem from warm_image (the
     identity's image h when None), whose score holds the optimal power split
-    at every step, then the split and rates at the image it returns. The
-    Solution carries that image; its phase, a Phi with Phi h = image, is
-    built only when read.
+    at every step, then _evaluate at the image it returns for the split and
+    the rates. The Solution carries that image; its phase, a Phi with
+    Phi h = image, is built only when read.
 
     The Solution's trace is the winning start's ascent trace, and converged
-    is False only when that start ran into the step cap. Raises
-    InfeasibleAllocationError when the best start still misses a minimum
-    rate.
+    is False only when that start ran into the step cap. Raises ValueError
+    unless ch has exactly 2 users, and InfeasibleAllocationError when the
+    best start still misses a minimum rate.
     """
-    if ch.num_users != 2:
-        raise ValueError("bcd_solve expects exactly 2 users")
     image, trace = solve_phase_subproblem(ch, problem, warm_image=warm_image)
-    alloc, rates = _evaluate_image(ch, image, problem)
-    return Solution(alloc, image, rates, trace, len(trace) <= _PHASE_STEPS,
-                    ch.h_sat_ris, problem.effective_spec)
+    alloc, rates = _evaluate(ch, image, problem)
+    return Solution(alloc, image, rates, trace, ch.h_sat_ris, problem.effective_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +447,11 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     (y*(u) turns with u's phase, so each a costs O(1) there), are refined by
     _pattern_search in a chart centred on each, u = e^{ja}(u_0 + xi u_0^perp)
     / sqrt(1 + |xi|^2), regular where (t, p) is not. As a reference, the
-    oracle reports the rates of the Phi that its Solution's phase builds
-    from the best direction's image (through effective_channel), and raises
-    InfeasibleAllocationError when that Phi misses a minimum rate.
+    oracle builds the Phi that its Solution's phase builds from the best
+    direction's image and reports _evaluate at Phi h, that Phi's rates. Raises
+    ValueError unless ch has exactly 2 users, and InfeasibleAllocationError
+    when that Phi misses a minimum rate.
     """
-    if ch.num_users != 2:
-        raise ValueError("exact_oracle expects exactly 2 users")
     spec = problem.effective_spec
     bs = spec.block_size
     h_norms = _norms(ch.h_sat_ris.reshape(-1, bs))
@@ -499,6 +491,6 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     spacing = np.array([np.pi / 2.0 / n_t] * 2 + [2.0 * np.pi / n_a] * (n_a > 1))
     x, f = _pattern_search(lambda x: rate(image(chart(x)) @ gc_t), len(u0), spacing)
     v = image(chart(x[:, None, :])[int(np.argmax(f)), 0])
-    phase = PhaseResponse.reflective(_surface_from_image(ch.h_sat_ris, v, spec))
-    alloc, rates = _evaluate(ch, phase, problem)
-    return Solution(alloc, v, rates, (rates.sum_rate,), True, ch.h_sat_ris, spec)
+    phi = _surface_from_image(ch.h_sat_ris, v, spec)
+    alloc, rates = _evaluate(ch, phi @ ch.h_sat_ris, problem)
+    return Solution(alloc, v, rates, (rates.sum_rate,), ch.h_sat_ris, spec)

@@ -105,6 +105,10 @@ class TestPowerSubproblem:
         with pytest.raises(ValueError, match="reflective"):
             solve_power_subproblem(ch, PhaseResponse.transmissive(np.eye(1)),
                                    ProblemSpec(RisSpec(1), 10.0))
+        # a reflective Phi of the wrong size
+        with pytest.raises(ValueError):
+            solve_power_subproblem(ch, PhaseResponse.reflective(np.eye(2)),
+                                   ProblemSpec(RisSpec(1), 10.0))
 
     def test_returned_split_is_grid_optimal(self):
         # no alpha on a fine grid beats the closed-form split
@@ -441,9 +445,13 @@ class TestBcdSolve:
             bcd_solve(ch, problem)
 
     def test_requires_two_users(self):
-        ch = unit_channel(4, users=1)
+        ch, problem = unit_channel(4, users=1), ProblemSpec(RisSpec(4), 10.0)
         with pytest.raises(ValueError):
-            bcd_solve(ch, ProblemSpec(RisSpec(4), 10.0))
+            bcd_solve(ch, problem)
+        with pytest.raises(ValueError):
+            exact_oracle(ch, problem)
+        with pytest.raises(ValueError):
+            solve_power_subproblem(ch, PhaseResponse.reflective(np.eye(4)), problem)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
