@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import multiprocessing
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from bdris.channel import GeometryParams, LinkBudgetParams, draw_realization
 from bdris.experiments import (AGGREGATE_HEADER, DETAIL_HEADER, SweepResult,
                                SweepSpec, emit_csv, emit_plot_script,
                                run_element_sweep, run_power_sweep, solve_pair)
-from bdris.optimizer import InfeasibleAllocationError, ProblemSpec
+from bdris.optimizer import SCHEMES, InfeasibleAllocationError, ProblemSpec
 from bdris.surfaces import RisSpec, validate
 
 
@@ -40,6 +41,15 @@ class TestSweepSpec:
             small_spec(power_points_dbm=())
         with pytest.raises(ValueError):
             small_spec(ris_spec=RisSpec(4, "full", "hybrid"))
+
+    def test_schemes_is_a_class_attribute_not_a_field(self):
+        assert SweepSpec.schemes == SCHEMES
+        assert "schemes" not in {f.name for f in fields(SweepSpec)}
+        with pytest.raises(TypeError):
+            small_spec(schemes=("BD_RIS",))
+        # every trial of a sweep writes a row for each scheme
+        result = run_power_sweep(small_spec(trials=1))
+        assert sorted(row[2] for row in result.detail_rows) == sorted(SCHEMES * 2)
 
 
 class TestRunSweeps:

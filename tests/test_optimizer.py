@@ -1,7 +1,7 @@
 """Power split, the direction ascent, the solver, and the exact
 direction-search oracle."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -414,6 +414,19 @@ class TestBcdSolve:
             assert isinstance(solution, Solution)
             # the ascent's score is the sum rate the built Phi delivers
             assert solution.rates.sum_rate == pytest.approx(solution.trace[-1], rel=1e-12)
+
+    def test_converged_reads_the_step_cap(self, monkeypatch):
+        ch = unit_channel(8, seed=0, direct_scale=0.5)
+        problem = ProblemSpec(RisSpec(8, "full"), 10.0)
+        assert [f.name for f in fields(Solution)] == ["allocation", "image", "rates", "trace",
+                                                      "h_sat_ris", "spec"]
+        assert len(bcd_solve(ch, problem).trace) > 2   # the ascent keeps more than one step
+        # the oracle reports one score, and converged is never passed in
+        assert exact_oracle(ch, problem).converged
+        monkeypatch.setattr(optimizer, "_PHASE_STEPS", 1)
+        capped = bcd_solve(ch, problem)
+        assert len(capped.trace) == 2
+        assert not capped.converged
 
     def test_deterministic(self):
         ch = unit_channel(8, seed=2)
