@@ -17,8 +17,8 @@ from .optimizer import (InfeasibleAllocationError, ProblemSpec, SCHEMES, Solutio
                         bcd_solve, exact_oracle, solve_phase_subproblem,
                         solve_power_subproblem)
 from .surfaces import (ARCHITECTURES, DimensionError, FeasibilityReport, MODES,
-                       PhaseResponse, RisSpec, hardware_complexity,
-                       project_feasible, random_feasible, validate)
+                       RisSpec, hardware_complexity, project_feasible,
+                       random_feasible, validate)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "ARCHITECTURES", "MODES", "SCHEMES", "SPEED_OF_LIGHT",
     "ChannelRealization", "ConfigError", "DimensionError",
     "FeasibilityReport", "GeometryParams", "InfeasibleAllocationError",
-    "LinkBudgetParams", "NomaAllocation", "PhaseResponse", "ProblemSpec",
+    "LinkBudgetParams", "NomaAllocation", "ProblemSpec",
     "RateResult", "RisSpec", "SimConfig", "Solution", "SweepResult",
     "SweepSpec", "achievable_rates", "apply_overrides", "bcd_solve",
     "db_to_linear", "draw_realization", "echo_config",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surfaces import DimensionError, PhaseResponse
+from .surfaces import DimensionError
 
 SPEED_OF_LIGHT = 299_792_458.0   # m/s
 
@@ -175,11 +175,9 @@ def draw_realization(geom: GeometryParams, lb: LinkBudgetParams, num_elements: i
     return ChannelRealization(h_d, h, g, db_to_linear(lb.noise_dbm))
 
 
-def effective_channel(ch: ChannelRealization, pr: PhaseResponse, user: int) -> complex:
-    """Effective scalar channel h_d[u] + g[u]^H Phi h for a reflective surface."""
-    if pr.mode != "reflective":
-        raise ValueError(f"effective_channel expects a reflective surface, got mode {pr.mode!r}")
-    phi = pr.phi
+def effective_channel(ch: ChannelRealization, phi: np.ndarray, user: int) -> complex:
+    """Effective scalar channel h_d[u] + g[u]^H Phi h of a reflective surface's
+    K x K Phi."""
     k = ch.num_elements
     if phi.shape != (k, k):
         raise DimensionError(f"phase matrix shape {phi.shape} does not match K={k}")

@@ -24,8 +24,7 @@ from .config import (ConfigError, SimConfig, apply_overrides, echo_config, geome
 from .experiments import (SweepSpec, emit_csv, emit_plot_script, oracle_report, oracle_suite,
                           run_element_sweep, run_power_sweep, solve_pair)
 from .optimizer import InfeasibleAllocationError, ProblemSpec
-from .surfaces import (DimensionError, PhaseResponse, RisSpec,
-                       hardware_complexity, validate)
+from .surfaces import DimensionError, RisSpec, hardware_complexity, validate
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -60,7 +59,8 @@ def _require_reflective(cfg: SimConfig):
                           f"only, got '{cfg.mode}'")
 
 
-def _load_phase_response(path: str, spec: RisSpec) -> PhaseResponse:
+def _load_phase_response(path: str, spec: RisSpec) -> np.ndarray:
+    """The file's slot matrices as one (depth, dim, dim) stack."""
     try:
         data = np.load(path)
     except (OSError, ValueError) as exc:
@@ -80,25 +80,23 @@ def _load_phase_response(path: str, spec: RisSpec) -> PhaseResponse:
         return value
 
     try:
-        if spec.mode in ("reflective", "transmissive"):
-            ctor = (PhaseResponse.reflective if spec.mode == "reflective"
-                    else PhaseResponse.transmissive)
-            return ctor(array("phi"))
-        if spec.mode == "hybrid":
-            return PhaseResponse.hybrid(array("phi_r"), array("phi_t"))
-        stacked = array("phi_s")
-        if stacked.ndim != 3:
-            raise ConfigError(f"{path}: 'phi_s' must be a stack of square matrices")
-        return PhaseResponse.multisector(list(stacked))
+        if spec.mode == "multisector":
+            return array("phi_s")
+        if spec.mode != "hybrid":
+            return array("phi")[None]
+        phi_r, phi_t = array("phi_r"), array("phi_t")
+        if phi_r.shape != phi_t.shape:
+            raise ConfigError(f"{path}: 'phi_r' {phi_r.shape} and 'phi_t' {phi_t.shape} differ")
+        return np.stack([phi_r, phi_t])
     finally:
         data.close()
 
 
 def _cmd_validate_pr(cfg: SimConfig, path: str) -> int:
     spec = ris_spec_from(cfg)
-    pr = _load_phase_response(path, spec)
+    slots = _load_phase_response(path, spec)
     try:
-        report = validate(pr, spec)
+        report = validate(slots, spec)
     except DimensionError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     print(f"feasible: {'yes' if report.is_feasible else 'no'}")

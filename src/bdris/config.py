@@ -176,19 +176,24 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     return cfg
 
 
+def _assignment(text: str, where: str) -> tuple:
+    """(key, coerced value) of one `key = value`; where (file:line or --set) opens errors."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, _, raw = text.partition("=")
+    key = key.strip()
+    if key not in KEY_ORDER:
+        raise ConfigError(f"{where}: unknown key '{key}'")
+    return key, _coerce(key, raw)
+
+
 def _parse_lines(lines, source: str) -> dict:
     values = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in KEY_ORDER:
-            raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
-        values[key] = _coerce(key, raw)   # duplicate keys: last one wins
+        if stripped and not stripped.startswith("#"):
+            key, value = _assignment(stripped, f"{source}:{lineno}")
+            values[key] = value   # duplicate keys: last one wins
     return values
 
 
@@ -206,15 +211,7 @@ def load_config(path: str | None = None) -> SimConfig:
 
 def apply_overrides(cfg: SimConfig, assignments) -> SimConfig:
     """Apply `key=value` strings (from repeated --set flags) in order."""
-    values = {}
-    for item in assignments:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in KEY_ORDER:
-            raise ConfigError(f"--set: unknown key '{key}'")
-        values[key] = _coerce(key, raw)
+    values = dict(_assignment(item, "--set") for item in assignments)
     return validate_config(dataclasses.replace(cfg, **values))
 
 

@@ -70,7 +70,7 @@ import numpy as np
 from .channel import ChannelRealization, db_to_linear
 from .noma import (LN2, NomaAllocation, RateResult, min_power_split_for_far_rate,
                    sic_rate_gradient, sic_rates)
-from .surfaces import PhaseResponse, RisSpec, block_diagonal
+from .surfaces import RisSpec, block_diagonal
 # perfbench/spans.py wraps these by name in this module; nothing here calls them
 from .channel import effective_channel  # noqa: F401
 from .noma import achievable_rates  # noqa: F401
@@ -132,15 +132,14 @@ class Solution:
         return len(self.trace) <= _PHASE_STEPS
 
     @functools.cached_property
-    def phase(self) -> PhaseResponse:
-        """The feasible Phi with Phi h = image (_surface_from_image), built
-        on first read."""
-        return PhaseResponse.reflective(_surface_from_image(self.h_sat_ris, self.image,
-                                                            self.spec))
+    def phase(self) -> np.ndarray:
+        """The feasible K x K Phi with Phi h = image (_surface_from_image),
+        built on first read."""
+        return _surface_from_image(self.h_sat_ris, self.image, self.spec)
 
 
 # ---------------------------------------------------------------------------
-# internal phase-ascent machinery (raw arrays, no PhaseResponse wrapping)
+# internal phase-ascent machinery
 # ---------------------------------------------------------------------------
 
 
@@ -321,14 +320,18 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     return v[best], trace
 
 
+def _require_two_users(ch: ChannelRealization) -> None:
+    if ch.num_users != 2:
+        raise ValueError("the sum-rate problem is defined for exactly 2 users")
+
+
 def _evaluate(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -> tuple:
     """The optimal full-power split at the image v = Phi h and its
     RateResult, from the two effective channels h_d[u] + g_u^H v, each formed
     as channel.effective_channel forms it. Raises ValueError unless there are
     exactly 2 users, and InfeasibleAllocationError when no split meets both
     minimum rates."""
-    if ch.num_users != 2:
-        raise ValueError("the sum-rate problem is defined for exactly 2 users")
+    _require_two_users(ch)
     gains = [abs(complex(ch.h_direct[u] + ch.g_ris_user[u].conj() @ image)) ** 2
              for u in range(2)]
     strong = int(gains[1] > gains[0])     # ties go to the lower index, as in order_users
@@ -343,21 +346,18 @@ def _evaluate(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -
 
 
 # perfbench/spans.py wraps optimizer.solve_power_subproblem by name; nothing here calls it
-def solve_power_subproblem(ch: ChannelRealization, pr: PhaseResponse,
+def solve_power_subproblem(ch: ChannelRealization, phi: np.ndarray,
                            problem: ProblemSpec) -> NomaAllocation:
-    """Optimal full-power split for fixed phases.
+    """Optimal full-power split for a fixed reflective K x K Phi.
 
     alpha_far = max(0.5, alpha_far*), alpha_near = 1 - alpha_far: the sum
     rate is non-increasing in alpha_far once the far user's minimum rate
     holds, so the smallest ordered split is optimal (gains tie -> the sum
     rate is split-invariant and the same boundary is returned).
 
-    Raises ValueError for a non-reflective pr and InfeasibleAllocationError
-    when no split meets both minimum rates.
+    Raises InfeasibleAllocationError when no split meets both minimum rates.
     """
-    if pr.mode != "reflective":
-        raise ValueError(f"expected a reflective surface, got mode {pr.mode!r}")
-    return _evaluate(ch, pr.phi @ ch.h_sat_ris, problem)[0]
+    return _evaluate(ch, phi @ ch.h_sat_ris, problem)[0]
 
 
 def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
@@ -452,6 +452,7 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     ValueError unless ch has exactly 2 users, and InfeasibleAllocationError
     when that Phi misses a minimum rate.
     """
+    _require_two_users(ch)
     spec = problem.effective_spec
     bs = spec.block_size
     h_norms = _norms(ch.h_sat_ris.reshape(-1, bs))

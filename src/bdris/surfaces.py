@@ -1,17 +1,19 @@
 """
 Beyond-diagonal RIS phase-response matrices.
 
-A surface with K phase-response elements is described by one or more complex
-matrices, constrained by the circuit topology (architecture) and the serving
-mode:
+A surface with K phase-response elements is a complex (depth, dim, dim)
+array of slot matrices. Its RisSpec alone says what the slots mean: the
+serving mode fixes their count and role, the circuit topology (architecture)
+their support:
 
 - single-connected: diagonal matrices (each element tuned independently)
 - fully-connected:  one dense matrix over all K elements
 - group-connected:  block-diagonal, G blocks of K/G elements each
 
-- reflective / transmissive: one matrix, unitary per block
-- hybrid:       a reflect/transmit pair with Phi_r^H Phi_r + Phi_t^H Phi_t = I
-- multi-sector: S matrices of size (K/S)x(K/S) with sum_s Phi_s^H Phi_s = I
+- reflective / transmissive: one slot Phi, unitary per block (a bare
+  (K, K) matrix is accepted wherever a one-slot stack is)
+- hybrid:       slots (Phi_r, Phi_t) with Phi_r^H Phi_r + Phi_t^H Phi_t = I
+- multi-sector: S slots of size (K/S)x(K/S) with sum_s Phi_s^H Phi_s = I
 
 Every combination reduces to the same algebraic statement: partition the
 matrix dimension into blocks, stack the per-block sub-matrices of all slots
@@ -38,7 +40,7 @@ MODES = ("reflective", "transmissive", "hybrid", "multisector")
 
 
 class DimensionError(ValueError):
-    """Matrix shapes (or mode/slot structure) disagree with the RisSpec."""
+    """Slot matrix shapes disagree with the RisSpec."""
 
 
 @dataclass(frozen=True)
@@ -109,64 +111,24 @@ class RisSpec:
 
 
 @dataclass(frozen=True)
-class PhaseResponse:
-    """The matrices realizing one surface configuration.
-
-    matrices holds one slot for reflective/transmissive (Phi), two for hybrid
-    (Phi_r, Phi_t), and S for multi-sector (Phi_1 .. Phi_S).
-    """
-
-    mode: str
-    matrices: tuple
-
-    @classmethod
-    def reflective(cls, phi: np.ndarray) -> "PhaseResponse":
-        return cls("reflective", (np.asarray(phi, dtype=complex),))
-
-    @classmethod
-    def transmissive(cls, phi: np.ndarray) -> "PhaseResponse":
-        return cls("transmissive", (np.asarray(phi, dtype=complex),))
-
-    @classmethod
-    def hybrid(cls, phi_r: np.ndarray, phi_t: np.ndarray) -> "PhaseResponse":
-        return cls("hybrid", (np.asarray(phi_r, dtype=complex),
-                              np.asarray(phi_t, dtype=complex)))
-
-    @classmethod
-    def multisector(cls, mats) -> "PhaseResponse":
-        return cls("multisector", tuple(np.asarray(m, dtype=complex) for m in mats))
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.matrices[0]
-
-    @property
-    def phi_r(self) -> np.ndarray:
-        return self.matrices[0]
-
-    @property
-    def phi_t(self) -> np.ndarray:
-        return self.matrices[1]
-
-
-@dataclass(frozen=True)
 class FeasibilityReport:
     is_feasible: bool
     max_violation: float
     violated_constraint: str     # 'none' when feasible
 
 
-def _check_shapes(pr: PhaseResponse, spec: RisSpec) -> None:
-    if pr.mode != spec.mode:
-        raise DimensionError(f"phase response mode {pr.mode!r} does not match spec mode {spec.mode!r}")
-    if len(pr.matrices) != spec.stack_depth:
-        raise DimensionError(
-            f"expected {spec.stack_depth} matrix slot(s) for mode {spec.mode!r}, got {len(pr.matrices)}"
-        )
-    dim = spec.matrix_dim
-    for i, m in enumerate(pr.matrices):
-        if m.shape != (dim, dim):
-            raise DimensionError(f"matrix slot {i} has shape {m.shape}, expected ({dim}, {dim})")
+def _slots(m, spec: RisSpec) -> np.ndarray:
+    """m as a complex (depth, dim, dim) stack of slot matrices: m itself, or
+    the one slot of a reflective or transmissive surface given as a bare
+    (dim, dim) matrix. Any other shape raises DimensionError."""
+    m = np.asarray(m, dtype=complex)
+    depth, dim = spec.stack_depth, spec.matrix_dim
+    if depth == 1 and m.shape == (dim, dim):
+        return m[None]
+    if m.shape != (depth, dim, dim):
+        raise DimensionError(f"slot matrices have shape {m.shape}, expected "
+                             f"({depth}, {dim}, {dim}) for mode {spec.mode!r}")
+    return m
 
 
 def _blocks(mats, spec: RisSpec) -> np.ndarray:
@@ -190,12 +152,14 @@ def block_diagonal(stacks: np.ndarray, spec: RisSpec) -> np.ndarray:
     return out.reshape(depth, dim, dim)
 
 
-def validate(pr: PhaseResponse, spec: RisSpec, eps_feas: float = 1e-9) -> FeasibilityReport:
-    """Check a phase response against its architecture/mode constraint set.
+def validate(m, spec: RisSpec, eps_feas: float = 1e-9) -> FeasibilityReport:
+    """Check slot matrices against the spec's architecture/mode constraint set.
 
     Parameters
     ----------
-    pr : PhaseResponse
+    m : array_like
+        The (depth, dim, dim) slot stack, or a bare (dim, dim) matrix for a
+        reflective or transmissive spec.
     spec : RisSpec
     eps_feas : float
         Largest tolerated absolute residual of any constraint equality.
@@ -214,12 +178,11 @@ def validate(pr: PhaseResponse, spec: RisSpec, eps_feas: float = 1e-9) -> Feasib
     Raises
     ------
     DimensionError
-        If the mode or matrix shapes disagree with the spec.
+        If the shape of m disagrees with the spec.
     """
     if eps_feas <= 0:
         raise ValueError("eps_feas must be positive")
-    _check_shapes(pr, spec)
-    m = np.stack(pr.matrices)
+    m = _slots(m, spec)
     a = _blocks(m, spec)
     if not np.isfinite(m).all():       # NaN compares false and would pass every bound below
         label = "off_block_support" if np.isfinite(a).all() else "block_isometry"
@@ -240,8 +203,8 @@ def validate(pr: PhaseResponse, spec: RisSpec, eps_feas: float = 1e-9) -> Feasib
     return FeasibilityReport(max_violation <= eps_feas, max_violation, label)
 
 
-def random_feasible(spec: RisSpec, seed) -> PhaseResponse:
-    """Draw a random feasible phase response.
+def random_feasible(spec: RisSpec, seed) -> np.ndarray:
+    """Draw random feasible (depth, dim, dim) slot matrices.
 
     Each block's slot sub-matrices are Haar unitaries (QR of a complex
     Gaussian; a uniform phase at block size 1) with column j scaled by c_sj,
@@ -266,11 +229,11 @@ def random_feasible(spec: RisSpec, seed) -> PhaseResponse:
     else:
         scale = np.ones((nb, 1, bs))
     stacks = q * (d / np.abs(d) * scale)[:, :, None, :]
-    return PhaseResponse(spec.mode, tuple(block_diagonal(stacks, spec)))
+    return block_diagonal(stacks, spec)
 
 
-def project_feasible(m, spec: RisSpec) -> PhaseResponse:
-    """Project arbitrary matrices onto the feasible set (Frobenius-nearest).
+def project_feasible(m, spec: RisSpec) -> np.ndarray:
+    """Project arbitrary slot matrices onto the feasible set (Frobenius-nearest).
 
     Off-block entries are zeroed; each per-block stacked sub-matrix A is
     replaced by the polar factor U V^H of its thin SVD, a nearest isometry.
@@ -279,23 +242,15 @@ def project_feasible(m, spec: RisSpec) -> PhaseResponse:
     rank-deficient A keeps LAPACK's singular basis on its null space, one
     deterministic choice among equally near isometries. An all-zero A,
     signed zeros included, maps to the stacked identity (I in the first slot,
-    zeros below). Accepts a PhaseResponse, a single matrix, or a sequence of
-    matrices.
+    zeros below). Takes m as validate does and returns the (depth, dim, dim)
+    stack.
     """
-    if isinstance(m, PhaseResponse):
-        mats_in = m.matrices
-    elif isinstance(m, np.ndarray):
-        mats_in = (m,)
-    else:
-        mats_in = tuple(m)
-    mats_in = tuple(np.asarray(x, dtype=complex) for x in mats_in)
-    _check_shapes(PhaseResponse(spec.mode, mats_in), spec)
-    a = _blocks(np.stack(mats_in), spec)
+    a = _blocks(_slots(m, spec), spec)
     u, _, vh = np.linalg.svd(a, full_matrices=False)
     iso = u @ vh
     # the SVD of a zero stack follows the signs of its zeros; pin it instead
     iso[~a.any(axis=(1, 2))] = np.eye(*a.shape[1:])
-    return PhaseResponse(spec.mode, tuple(block_diagonal(iso, spec)))
+    return block_diagonal(iso, spec)
 
 
 def hardware_complexity(spec: RisSpec):

@@ -66,7 +66,7 @@ def test_criterion_1_feasibility_suite():
         p1 = project_feasible(raw, spec)
         assert validate(p1, spec, eps_feas=1e-9).is_feasible, spec
         p2 = project_feasible(p1, spec)
-        resid = max(float(np.max(np.abs(a - b))) for a, b in zip(p1.matrices, p2.matrices))
+        resid = float(np.max(np.abs(p1 - p2)))
         worst_idem = max(worst_idem, resid)
     elapsed = time.monotonic() - started
     ok = worst_feas <= 1e-9 and worst_idem <= 1e-10 and elapsed < 30.0

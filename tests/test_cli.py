@@ -75,7 +75,7 @@ class TestValidatePr:
     def test_feasible_file(self, tmp_path, capsys):
         pr = random_feasible(RisSpec(6, "full", "reflective"), 1)
         path = tmp_path / "pr.npz"
-        np.savez(path, phi=pr.phi)
+        np.savez(path, phi=pr[0])
         code, out, _ = run(capsys, "--set", "num_elements=6", "validate-pr", str(path))
         assert code == 0
         assert "feasible: yes" in out and "violated_constraint: none" in out
@@ -89,7 +89,7 @@ class TestValidatePr:
     def test_hybrid_pair(self, tmp_path, capsys):
         pr = random_feasible(RisSpec(6, "single", "hybrid"), 2)
         path = tmp_path / "pr.npz"
-        np.savez(path, phi_r=pr.phi_r, phi_t=pr.phi_t)
+        np.savez(path, phi_r=pr[0], phi_t=pr[1])
         code, out, _ = run(capsys, "--set", "num_elements=6",
                            "--set", "architecture=single", "--set", "mode=hybrid",
                            "validate-pr", str(path))
@@ -99,12 +99,21 @@ class TestValidatePr:
         spec = RisSpec(6, "single", "multisector", sector_count=3)
         pr = random_feasible(spec, 3)
         path = tmp_path / "pr.npz"
-        np.savez(path, phi_s=np.stack(pr.matrices))
+        np.savez(path, phi_s=pr)
         code, out, _ = run(capsys, "--set", "num_elements=6",
                            "--set", "architecture=single",
                            "--set", "mode=multisector", "--set", "sector_count=3",
                            "validate-pr", str(path))
         assert code == 0 and "feasible: yes" in out
+
+    def test_hybrid_pair_of_different_sizes(self, tmp_path, capsys):
+        path = tmp_path / "pr.npz"
+        np.savez(path, phi_r=np.eye(6), phi_t=np.eye(5))
+        code, out, err = run(capsys, "--set", "num_elements=6",
+                             "--set", "architecture=single", "--set", "mode=hybrid",
+                             "validate-pr", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_missing_array_key(self, tmp_path, capsys):
         path = tmp_path / "pr.npz"
@@ -282,3 +291,29 @@ class TestModuleEntry:
         done = subprocess.run([sys.executable, "-m", "bdris.cli", "complexity"],
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0 and done.stdout.strip() == "3240"
+
+
+class TestPublicSurface:
+    NAMES = {
+        "ARCHITECTURES", "MODES", "SCHEMES", "SPEED_OF_LIGHT",
+        "ChannelRealization", "ConfigError", "DimensionError",
+        "FeasibilityReport", "GeometryParams", "InfeasibleAllocationError",
+        "LinkBudgetParams", "NomaAllocation", "ProblemSpec",
+        "RateResult", "RisSpec", "SimConfig", "Solution", "SweepResult",
+        "SweepSpec", "achievable_rates", "apply_overrides", "bcd_solve",
+        "db_to_linear", "draw_realization", "echo_config",
+        "effective_channel", "emit_csv", "emit_plot_script", "exact_oracle",
+        "hardware_complexity", "load_config", "min_power_split_for_far_rate",
+        "order_users", "path_gain", "project_feasible", "random_feasible",
+        "rician_sample", "run_element_sweep", "run_power_sweep", "slant_range",
+        "solve_phase_subproblem", "solve_power_subproblem", "validate",
+        "__version__",
+    }
+
+    def test_all_is_the_pinned_names(self):
+        # the surface grows only when a new item needs it; update NAMES then
+        assert len(self.NAMES) == 44
+        assert len(bdris.__all__) == len(set(bdris.__all__))
+        assert set(bdris.__all__) == self.NAMES
+        for name in bdris.__all__:
+            getattr(bdris, name)

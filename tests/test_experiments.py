@@ -267,7 +267,7 @@ class TestSweepsOnImages:
         assert len(solutions) == 2 * 2 * 2 * 2     # sweeps * points * trials * schemes
         assert built == []
         for ch, problem, solution in solutions:
-            phi, image = solution.phase.phi, solution.image
+            phi, image = solution.phase, solution.image
             assert validate(solution.phase, problem.effective_spec, eps_feas=1e-12).is_feasible
             assert np.linalg.norm(phi @ ch.h_sat_ris - image) <= 1e-12 * np.linalg.norm(image)
         assert len(built) == len(solutions)     # one Phi per solution, on its first read

@@ -16,7 +16,7 @@ from bdris.noma import (NomaAllocation, achievable_rates, min_power_split_for_fa
 from bdris.optimizer import (InfeasibleAllocationError, ProblemSpec, Solution, bcd_solve,
                              exact_oracle, solve_phase_subproblem, solve_power_subproblem,
                              _exposed, _score, _slope, _surface_from_image)
-from bdris.surfaces import (PhaseResponse, RisSpec, project_feasible, random_feasible,
+from bdris.surfaces import (RisSpec, project_feasible, random_feasible,
                             validate)
 
 
@@ -39,7 +39,7 @@ def gain_channel(gamma_strong, gamma_weak, noise=1.0):
 
 
 def identity(spec):
-    return PhaseResponse.reflective(np.eye(spec.num_elements, dtype=complex))
+    return np.eye(spec.num_elements, dtype=complex)
 
 
 IDENTITY_1 = identity(RisSpec(1))
@@ -100,15 +100,10 @@ class TestPowerSubproblem:
         with pytest.raises(InfeasibleAllocationError):
             solve_power_subproblem(ch, IDENTITY_1, problem)
 
-    def test_rejects_non_reflective_phases(self):
+    def test_rejects_wrong_size_phases(self):
         ch = gain_channel(2.0, 0.5)
-        with pytest.raises(ValueError, match="reflective"):
-            solve_power_subproblem(ch, PhaseResponse.transmissive(np.eye(1)),
-                                   ProblemSpec(RisSpec(1), 10.0))
-        # a reflective Phi of the wrong size
         with pytest.raises(ValueError):
-            solve_power_subproblem(ch, PhaseResponse.reflective(np.eye(2)),
-                                   ProblemSpec(RisSpec(1), 10.0))
+            solve_power_subproblem(ch, np.eye(2), ProblemSpec(RisSpec(1), 10.0))
 
     def test_returned_split_is_grid_optimal(self):
         # no alpha on a fine grid beats the closed-form split
@@ -186,7 +181,7 @@ class TestExposedPoint:
                 if spec.num_blocks > 1:
                     q[bs:2 * bs] = 0.0            # one block with q_b = 0
                 v = _exposed(q, block_norms(h, bs), h, bs)
-                reference = project_feasible(np.outer(q, np.conj(h)), spec).phi @ h
+                reference = project_feasible(np.outer(q, np.conj(h)), spec)[0] @ h
                 assert np.linalg.norm(v - reference) < 1e-12 * np.linalg.norm(h)
 
     def test_zero_block_keeps_its_fallback_and_norms_match(self):
@@ -253,7 +248,7 @@ class TestSurfaceFromImage:
             for _ in range(50):
                 v = _exposed(cn(rng, k), block_norms(h, bs), v, bs)
             phi = _surface_from_image(h, v, spec)
-            assert validate(PhaseResponse.reflective(phi), spec).is_feasible
+            assert validate(phi, spec).is_feasible
             assert np.linalg.norm(phi @ h - v) < 1e-12 * np.linalg.norm(v)
 
     def test_surface_for_barely_moved_images(self):
@@ -270,7 +265,7 @@ class TestSurfaceFromImage:
             nudge = v[one] + 1e-9 * np.linalg.norm(v[one]) * cn(rng, bs)
             v[one] = nudge * np.linalg.norm(v[one]) / np.linalg.norm(nudge)
             phi = _surface_from_image(h, v, spec)
-            assert validate(PhaseResponse.reflective(phi), spec, eps_feas=1e-13).is_feasible
+            assert validate(phi, spec, eps_feas=1e-13).is_feasible
             assert np.linalg.norm(phi @ h - v) < 1e-14 * np.linalg.norm(v)
             eye = np.eye(bs)
             assert np.abs(phi[:bs, :bs] - 1j * eye).max() < 1e-15
@@ -289,7 +284,7 @@ class TestSurfaceFromImage:
             c = h.conj() * v
             phi = _surface_from_image(h, v, spec)
             assert np.array_equal(phi, np.diag(c / np.abs(c)))
-            assert validate(PhaseResponse.reflective(phi), spec, eps_feas=1e-13).is_feasible
+            assert validate(phi, spec, eps_feas=1e-13).is_feasible
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
@@ -311,7 +306,7 @@ class TestSurfaceFromImage:
         if zero_block:
             h[:bs] = v[:bs] = 0.0
         phi = _surface_from_image(h, v, spec)
-        assert validate(PhaseResponse.reflective(phi), spec, eps_feas=1e-12).is_feasible
+        assert validate(phi, spec, eps_feas=1e-12).is_feasible
         assert np.linalg.norm(phi @ h - v) <= 1e-12 * np.linalg.norm(v)
         # off span{h_b, v_b} each block acts as its phase z_b (1 where h_b^H v_b = 0)
         c = np.sum(h.reshape(-1, bs).conj() * v.reshape(-1, bs), axis=1)
@@ -326,7 +321,7 @@ class TestSurfaceFromImage:
 
 def surface(ch, image, spec):
     """The Phi a Solution builds on request for an image."""
-    return PhaseResponse.reflective(_surface_from_image(ch.h_sat_ris, image, spec))
+    return _surface_from_image(ch.h_sat_ris, image, spec)
 
 
 class TestPhaseSubproblem:
@@ -361,8 +356,8 @@ class TestPhaseSubproblem:
         for seed in range(8):
             ch = unit_channel(4, seed=seed, direct_scale=0.7)
             problem = ProblemSpec(RisSpec(4, "full"), 10.0)
-            warm = random_feasible(RisSpec(4, "full"), seed + 100)
-            image, _ = solve_phase_subproblem(ch, problem, warm_image=warm.phi @ ch.h_sat_ris)
+            warm = random_feasible(RisSpec(4, "full"), seed + 100)[0]
+            image, _ = solve_phase_subproblem(ch, problem, warm_image=warm @ ch.h_sat_ris)
             assert (sum_rate_at(ch, surface(ch, image, problem.ris_spec), alloc).sum_rate
                     >= sum_rate_at(ch, warm, alloc).sum_rate - 1e-12)
 
@@ -378,7 +373,7 @@ class TestPhaseSubproblem:
                               include_direct=direct, rng=np.random.default_rng(3))
         problem = ProblemSpec(spec, power_dbm=10.0)
         image, trace = solve_phase_subproblem(ch, problem)
-        warm = surface(ch, image, spec).phi @ ch.h_sat_ris
+        warm = surface(ch, image, spec) @ ch.h_sat_ris
         again, trace_again = solve_phase_subproblem(ch, problem, warm_image=warm)
         assert trace_again[-1] == pytest.approx(trace[-1], rel=1e-12)
         assert validate(surface(ch, again, spec), spec).is_feasible
@@ -435,14 +430,14 @@ class TestBcdSolve:
         b = bcd_solve(ch, problem)
         assert a.rates.sum_rate == b.rates.sum_rate
         assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.phase.phi, b.phase.phi)
+        assert np.array_equal(a.phase, b.phase)
 
     def test_dominates_conventional_baseline(self):
         for seed in range(5):
             ch = unit_channel(16, seed=seed)
             cd = bcd_solve(ch, ProblemSpec(RisSpec(16, "full"), 10.0, scheme="CD_RIS"))
             bd = bcd_solve(ch, ProblemSpec(RisSpec(16, "full"), 10.0, scheme="BD_RIS"),
-                           warm_image=cd.phase.phi @ ch.h_sat_ris)
+                           warm_image=cd.phase @ ch.h_sat_ris)
             assert bd.rates.sum_rate >= cd.rates.sum_rate - 1e-12
 
     def test_group_architecture_phases_feasible(self):
@@ -457,14 +452,15 @@ class TestBcdSolve:
         with pytest.raises(InfeasibleAllocationError):
             bcd_solve(ch, problem)
 
-    def test_requires_two_users(self):
-        ch, problem = unit_channel(4, users=1), ProblemSpec(RisSpec(4), 10.0)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("users", [1, 3])
+    def test_requires_two_users(self, users):
+        ch, problem = unit_channel(4, users=users), ProblemSpec(RisSpec(4), 10.0)
+        with pytest.raises(ValueError, match="exactly 2 users"):
             bcd_solve(ch, problem)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly 2 users"):
             exact_oracle(ch, problem)
-        with pytest.raises(ValueError):
-            solve_power_subproblem(ch, PhaseResponse.reflective(np.eye(4)), problem)
+        with pytest.raises(ValueError, match="exactly 2 users"):
+            solve_power_subproblem(ch, np.eye(4), problem)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
@@ -477,12 +473,12 @@ class TestBcdSolve:
         # start with all the power, so the warm start is feasible
         spec = any_spec(*shape)
         ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct)
-        warm = random_feasible(spec, seed)
+        warm = random_feasible(spec, seed)[0]
         weak = min(abs(effective_channel(ch, warm, u)) ** 2 for u in range(2))
         floor = reach * np.log2(1.0 + 10.0 * weak / ch.noise_mw)
         problem = ProblemSpec(spec, 10.0, min_rate_far=floor)
         start = sum_rate_at(ch, warm, solve_power_subproblem(ch, warm, problem))
-        solution = bcd_solve(ch, problem, warm_image=warm.phi @ ch.h_sat_ris)
+        solution = bcd_solve(ch, problem, warm_image=warm @ ch.h_sat_ris)
         assert validate(solution.phase, spec).is_feasible
         assert solution.rates.sum_rate >= start.sum_rate * (1.0 - 1e-12)
         assert solution.rates.rate_far >= floor * (1.0 - 1e-12)
@@ -513,7 +509,7 @@ class TestBcdSolve:
             ch = unit_channel(8, seed=seed)
             full = bcd_solve(ch, ProblemSpec(RisSpec(8, "full"), 10.0)).phase
             with pytest.raises(ValueError, match=spec.architecture):
-                bcd_solve(ch, ProblemSpec(spec, 10.0), warm_image=full.phi @ ch.h_sat_ris)
+                bcd_solve(ch, ProblemSpec(spec, 10.0), warm_image=full @ ch.h_sat_ris)
         # NaN meets no norm
         warm = np.where(np.arange(8) == 3, np.nan, ch.h_sat_ris)
         with pytest.raises(ValueError, match=spec.architecture):
@@ -526,10 +522,10 @@ class TestBcdSolve:
         for seed in range(4):
             ch = unit_channel(8, seed=seed, direct_scale=0.7)
             h = ch.h_sat_ris
-            image = random_feasible(spec, seed).phi @ h
-            warm = PhaseResponse.reflective(np.outer(image, h.conj()) / np.vdot(h, h))
+            image = random_feasible(spec, seed)[0] @ h
+            warm = np.outer(image, h.conj()) / np.vdot(h, h)
             start = sum_rate_at(ch, warm, NomaAllocation(10.0, 0.5, 0.5)).sum_rate
-            solution = bcd_solve(ch, ProblemSpec(spec, 10.0), warm_image=warm.phi @ h)
+            solution = bcd_solve(ch, ProblemSpec(spec, 10.0), warm_image=warm @ h)
             assert validate(solution.phase, spec, eps_feas=1e-12).is_feasible
             assert solution.rates.sum_rate >= start * (1.0 - 1e-12)
 
@@ -543,7 +539,7 @@ class TestBcdSolve:
         spec = any_spec(*shape)
         ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct)
         start = random_feasible(spec, seed) if warm else None
-        images = [ch.h_sat_ris if start is None else start.phi @ ch.h_sat_ris]
+        images = [ch.h_sat_ris if start is None else start[0] @ ch.h_sat_ris]
         exposed = optimizer._exposed
 
         def recording(*args):
@@ -569,7 +565,7 @@ class TestBcdSolve:
         ch = default_draw()
         problem = ProblemSpec(RisSpec(80, "full"), 20.0, min_rate_far=floor)
         cd = bcd_solve(ch, replace(problem, scheme="CD_RIS"))
-        bd = bcd_solve(ch, problem, warm_image=cd.phase.phi @ ch.h_sat_ris)
+        bd = bcd_solve(ch, problem, warm_image=cd.phase @ ch.h_sat_ris)
         for solution, scheme in ((cd, "CD_RIS"), (bd, "BD_RIS")):
             assert solution.rates.rate_far >= floor * (1.0 - 1e-12)
             assert solution.allocation.alpha_far > 0.5
@@ -716,7 +712,7 @@ class TestExactOracle:
         spec = any_spec(*shape)
         ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct, noise=noise)
         problem = ProblemSpec(spec, 10.0, min_rate_far=min_rate_far)
-        point = sum_rate_at(ch, random_feasible(spec, seed),
+        point = sum_rate_at(ch, random_feasible(spec, seed)[0],
                             NomaAllocation(problem.power_mw, 1.0 - alpha_far, alpha_far))
         feasible = point.rate_far >= min_rate_far
         try:
@@ -746,7 +742,7 @@ class TestExactOracle:
                                   rng=np.random.default_rng(seed))
             cd = bcd_solve(ch, replace(problem, scheme="CD_RIS"))
             solved = bcd_solve(ch, problem,
-                               warm_image=cd.phase.phi @ ch.h_sat_ris).rates.sum_rate
+                               warm_image=cd.phase @ ch.h_sat_ris).rates.sum_rate
             assert solved == pytest.approx(eigen_sweep_optimum(ch, problem), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("k,arch,direct", [(k, arch, direct) for k in (2, 8)

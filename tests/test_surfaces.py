@@ -6,9 +6,9 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from bdris.surfaces import (ARCHITECTURES, DimensionError, MODES, PhaseResponse,
-                            RisSpec, hardware_complexity, project_feasible,
-                            random_feasible, validate)
+from bdris.surfaces import (ARCHITECTURES, DimensionError, MODES, RisSpec,
+                            hardware_complexity, project_feasible, random_feasible,
+                            validate)
 
 
 def valid_specs(k_values=(2, 4, 8, 16)):
@@ -38,7 +38,7 @@ def signed_zeros(shape, rng):
 
 
 def largest_gap(a, b):
-    return max(np.max(np.abs(x - y)) for x, y in zip(a.matrices, b.matrices))
+    return np.max(np.abs(a - b))
 
 
 def random_slots(spec, rng):
@@ -100,14 +100,13 @@ class TestValidate:
     def test_identity_is_feasible_for_unitary_modes(self):
         for arch in ARCHITECTURES:
             spec = RisSpec(8, arch, "reflective")
-            pr = PhaseResponse.reflective(np.eye(8))
-            assert validate(pr, spec).is_feasible
+            assert validate(np.eye(8), spec).is_feasible
 
     def test_detects_off_block_support(self):
         spec = RisSpec(4, "single", "reflective")
         phi = np.eye(4, dtype=complex)
         phi[0, 1] = 0.3
-        report = validate(PhaseResponse.reflective(phi), spec)
+        report = validate(phi, spec)
         assert not report.is_feasible
         assert report.violated_constraint == "off_block_support"
         assert report.max_violation == pytest.approx(0.3)
@@ -115,7 +114,7 @@ class TestValidate:
     def test_detects_modulus_violation(self):
         spec = RisSpec(4, "single", "reflective")
         phi = np.diag([1.0, 1.0, 0.5, 1.0]).astype(complex)
-        report = validate(PhaseResponse.reflective(phi), spec)
+        report = validate(phi, spec)
         assert not report.is_feasible
         assert report.violated_constraint == "block_isometry"
         assert report.max_violation == pytest.approx(0.75)   # |0.25 - 1|
@@ -128,7 +127,7 @@ class TestValidate:
         spec = RisSpec(8, arch, "reflective", groups)
         phi = np.eye(8, dtype=complex)
         phi[1, 1] = bad
-        report = validate(PhaseResponse.reflective(phi), spec)
+        report = validate(phi, spec)
         assert not report.is_feasible
         assert report.max_violation == np.inf
         assert report.violated_constraint == "block_isometry"
@@ -137,16 +136,15 @@ class TestValidate:
     def test_non_finite_off_block_entry_is_an_off_block_violation(self, bad):
         spec = RisSpec(8, "group", "hybrid", 4)
         pr = random_feasible(spec, 4)
-        phi_t = pr.phi_t.copy()
-        phi_t[0, 7] = bad
-        report = validate(PhaseResponse.hybrid(pr.phi_r, phi_t), spec)
+        pr[1, 0, 7] = bad                 # slot 1 is Phi_t
+        report = validate(pr, spec)
         assert not report.is_feasible
         assert report.max_violation == np.inf
         assert report.violated_constraint == "off_block_support"
 
     def test_detects_nonunitary_block(self):
         spec = RisSpec(4, "full", "reflective")
-        report = validate(PhaseResponse.reflective(1.01 * np.eye(4)), spec)
+        report = validate(1.01 * np.eye(4), spec)
         assert not report.is_feasible
         assert report.violated_constraint == "block_isometry"
 
@@ -157,8 +155,8 @@ class TestValidate:
             pr = random_feasible(spec, rng)
             for _ in range(5):
                 x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-                energy = (np.linalg.norm(pr.phi_r @ x) ** 2
-                          + np.linalg.norm(pr.phi_t @ x) ** 2)
+                energy = (np.linalg.norm(pr[0] @ x) ** 2
+                          + np.linalg.norm(pr[1] @ x) ** 2)
                 assert energy == pytest.approx(np.linalg.norm(x) ** 2, abs=1e-9)
 
     def test_multisector_power_conservation(self):
@@ -167,21 +165,39 @@ class TestValidate:
         pr = random_feasible(spec, rng)
         dim = spec.matrix_dim
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        energy = sum(np.linalg.norm(m @ x) ** 2 for m in pr.matrices)
+        energy = sum(np.linalg.norm(m @ x) ** 2 for m in pr)
         assert energy == pytest.approx(np.linalg.norm(x) ** 2, abs=1e-9)
 
-    def test_shape_and_mode_mismatch_raises(self):
+    def test_shape_mismatch_raises(self):
         spec = RisSpec(4, "full", "reflective")
         with pytest.raises(DimensionError):
-            validate(PhaseResponse.reflective(np.eye(5)), spec)
+            validate(np.eye(5), spec)
         with pytest.raises(DimensionError):
-            validate(PhaseResponse.transmissive(np.eye(4)), spec)
+            validate(np.stack([np.eye(4), np.eye(4)]), spec)
+
+    @pytest.mark.parametrize("mode", ["reflective", "transmissive"])
+    def test_one_slot_modes_take_a_bare_matrix(self, mode):
+        spec = RisSpec(4, "full", mode)
+        phi = random_feasible(spec, 9)[0]
+        assert validate(phi, spec).is_feasible
+        assert validate(phi, spec) == validate(phi[None], spec)
+        raw = gaussian((4, 4), np.random.default_rng(9))
+        assert np.array_equal(project_feasible(raw, spec), project_feasible(raw[None], spec))
+
+    @pytest.mark.parametrize("check", [validate, project_feasible])
+    @pytest.mark.parametrize("spec", [RisSpec(4, "full", "hybrid"),
+                                      RisSpec(4, "full", "multisector", sector_count=2)],
+                             ids=["hybrid", "multisector"])
+    def test_many_slot_modes_reject_a_bare_matrix(self, check, spec):
+        dim = spec.matrix_dim
+        with pytest.raises(DimensionError, match="expected"):
+            check(np.eye(dim), spec)
         with pytest.raises(DimensionError):
-            validate(PhaseResponse("reflective", (np.eye(4), np.eye(4))), spec)
+            check(np.eye(dim)[None], spec)
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
-            validate(PhaseResponse.reflective(np.eye(2)), RisSpec(2), eps_feas=0.0)
+            validate(np.eye(2), RisSpec(2), eps_feas=0.0)
 
 
 class TestRandomFeasible:
@@ -189,16 +205,16 @@ class TestRandomFeasible:
         spec = RisSpec(8, "group", "reflective", group_count=2)
         a = random_feasible(spec, 123)
         b = random_feasible(spec, 123)
-        assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
+        assert np.array_equal(a, b)
 
     def test_diagonal_architecture_stays_diagonal(self):
         pr = random_feasible(RisSpec(6, "single", "hybrid"), 3)
-        for m in pr.matrices:
+        for m in pr:
             assert np.count_nonzero(m - np.diag(np.diagonal(m))) == 0
 
     def test_draws_differ_across_seeds(self):
         spec = RisSpec(4, "full", "reflective")
-        assert not np.allclose(random_feasible(spec, 0).phi, random_feasible(spec, 1).phi)
+        assert not np.allclose(random_feasible(spec, 0), random_feasible(spec, 1))
 
 
 class TestProjectFeasible:
@@ -210,19 +226,18 @@ class TestProjectFeasible:
         pr = project_feasible(random_slots(spec, rng), spec)
         assert validate(pr, spec).is_feasible
         again = project_feasible(pr, spec)
-        for m1, m2 in zip(pr.matrices, again.matrices):
-            assert np.max(np.abs(m1 - m2)) < 1e-10
+        assert np.max(np.abs(pr - again)) < 1e-10
 
     def test_feasible_point_is_fixed(self):
         spec = RisSpec(6, "group", "reflective", group_count=3)
         pr = random_feasible(spec, 5)
         proj = project_feasible(pr, spec)
-        assert np.max(np.abs(proj.phi - pr.phi)) < 1e-12
+        assert np.max(np.abs(proj - pr)) < 1e-12
 
     def test_diagonal_normalization(self):
         spec = RisSpec(3, "single", "reflective")
         pr = project_feasible(np.diag([2.0, -0.5j, 3 + 4j]), spec)
-        d = np.diagonal(pr.phi)
+        d = np.diagonal(pr[0])
         assert d[0] == pytest.approx(1.0)
         assert d[1] == pytest.approx(-1j)
         assert d[2] == pytest.approx((3 + 4j) / 5)
@@ -230,7 +245,7 @@ class TestProjectFeasible:
     def test_zero_input_maps_to_identity_alignment(self):
         spec = RisSpec(3, "single", "reflective")
         pr = project_feasible(np.zeros((3, 3)), spec)
-        assert np.allclose(np.diagonal(pr.phi), 1.0)
+        assert np.allclose(np.diagonal(pr[0]), 1.0)
         spec_full = RisSpec(3, "full", "reflective")
         pr_full = project_feasible(np.zeros((3, 3)), spec_full)
         assert validate(pr_full, spec_full).is_feasible
@@ -240,7 +255,7 @@ class TestProjectFeasible:
         spec = RisSpec(5, "full", "reflective")
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         u, _, vh = np.linalg.svd(a)
-        assert np.max(np.abs(project_feasible(a, spec).phi - u @ vh)) < 1e-12
+        assert np.max(np.abs(project_feasible(a, spec)[0] - u @ vh)) < 1e-12
 
     def test_rank_deficient_input_projects_deterministically(self):
         spec = RisSpec(4, "full", "reflective")
@@ -249,17 +264,17 @@ class TestProjectFeasible:
         pr1 = project_feasible(a, spec)
         pr2 = project_feasible(a.copy(), spec)
         assert validate(pr1, spec).is_feasible
-        assert np.array_equal(pr1.phi, pr2.phi)
+        assert np.array_equal(pr1, pr2)
 
     def test_projection_is_frobenius_nearest_on_unitary_set(self):
         # compare against a coarse search over rotations of the polar factor
         rng = np.random.default_rng(23)
         spec = RisSpec(3, "full", "reflective")
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        proj = project_feasible(a, spec).phi
+        proj = project_feasible(a, spec)[0]
         d_proj = np.linalg.norm(a - proj)
         for seed in range(20):
-            other = random_feasible(spec, seed).phi
+            other = random_feasible(spec, seed)[0]
             assert d_proj <= np.linalg.norm(a - other) + 1e-12
 
 
@@ -291,11 +306,11 @@ class TestProjectFeasible:
         assert largest_gap(project_feasible(pr, spec), pr) <= 1e-10
         for b in zero:
             sl = slice(b * bs, (b + 1) * bs)
-            assert np.array_equal(pr.matrices[0][sl, sl], np.eye(bs))
-            assert all(not m[sl, sl].any() for m in pr.matrices[1:])
+            assert np.array_equal(pr[0][sl, sl], np.eye(bs))
+            assert all(not m[sl, sl].any() for m in pr[1:])
 
         def distance(other):
-            return np.sqrt(sum(np.linalg.norm(x - y) ** 2 for x, y in zip(mats, other.matrices)))
+            return np.sqrt(sum(np.linalg.norm(x - y) ** 2 for x, y in zip(mats, other)))
 
         nearest = distance(pr)
         for _ in range(3):
