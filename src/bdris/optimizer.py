@@ -37,18 +37,24 @@ that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
   raises the score by more than 1e-12 relative.
 
 The exact oracle (exact_oracle) searches the same directions globally. The
-reachable effective channels are y = h_d + (g_1^H v, g_2^H v) over images
-with |v_b| = |h_b|, so their convex hull is h_d plus the Minkowski sum of the
-ellipsoids M_b B(|h_b|), M_b the 2 x bs matrix with rows g_u,b^H. After the
-closed-form split the sum rate never falls as either |y_u| grows, so its
-maximum over the hull lies on the boundary, where every point is a support
-point: for some unit u in C^2 it is y*(u) = h_d + sum_b |h_b| M_b M_b^H
-u/|M_b^H u|, the channels of the feasible image v_b = |h_b| q_b/|q_b|,
-q = u_1 g_1 + u_2 g_2 (the exposed point). The best y*(u) over u is therefore
-the global optimum, for every block size (Nerini, Shen & Clerckx, IEEE TWC
-2024, give the fully connected closed form). Only a rank-deficient block
-(bs = 1) can have M_b^H u = 0, which makes the support set a face; y*(u) at
-nearby u reaches its reachable points.
+score sees the effective channels only through their gains |y_u|^2, so a
+global phase of y does not change it, and the direct links count as one more
+one-element block, with incident channel 1 and outgoing channels conj(h_d):
+the channels y = h_d s + (g_1^H v, g_2^H v), |s| = 1, have the gains of the
+reachable ones, h_d + g^H v conj(s). Their convex hull is the Minkowski sum of
+the disc h_d B(1) and the ellipsoids M_b B(|h_b|), M_b the 2 x bs matrix
+with rows g_u,b^H. After the closed-form split the sum rate never falls as
+either |y_u| grows, so its maximum over the hull lies on the boundary, where
+every point is a support point: for some unit u in C^2 it is y*(u) =
+h_d s(u) + sum_b |h_b| M_b M_b^H u/|M_b^H u|, s(u) = h_d^H u/|h_d^H u|, the
+channels of the feasible image v_b = |h_b| q_b/|q_b|, q = u_1 g_1 + u_2 g_2
+(the exposed point), and of the direct block's exposed phase. The best
+y*(u) over u is therefore the global optimum, for every block size (Nerini,
+Shen & Clerckx, IEEE TWC 2024, give the fully connected closed form). Since
+y*(e^{ja} u) = e^{ja} y*(u), unit u up to phase, (cos t, e^{jp} sin t),
+suffices, with or without direct links. Only a rank-deficient block (bs = 1,
+or the direct block) can have M_b^H u = 0, which makes the support set a
+face; y*(u) at nearby u reaches its reachable points.
 
 The conventional-surface baseline (CD_RIS) is the same solver restricted to
 the single-connected diagonal set. bcd_solve starts from the image it is
@@ -70,7 +76,7 @@ import numpy as np
 from .channel import ChannelRealization, db_to_linear
 from .noma import (LN2, NomaAllocation, RateResult, min_power_split_for_far_rate,
                    sic_rate_gradient, sic_rates)
-from .surfaces import RisSpec, block_diagonal
+from .surfaces import DimensionError, RisSpec, block_diagonal
 # perfbench/spans.py wraps these by name in this module; nothing here calls them
 from .channel import effective_channel  # noqa: F401
 from .noma import achievable_rates  # noqa: F401
@@ -261,10 +267,13 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     and that row's trace: its score at its start and after each kept step.
     No Phi is built (Solution.phase builds one on request).
 
-    Raises ValueError when warm_image is not a length-K vector, or misses
-    |v_b| = |h_b| by more than 1e-9 relative in some block (NaN included),
-    i.e. it is the image of no feasible point of this architecture.
+    Raises ValueError unless ch has 1 or 2 users (a lone user is both the
+    strong and the weak one), and when warm_image is not a length-K vector,
+    or misses |v_b| = |h_b| by more than 1e-9 relative in some block (NaN
+    included), i.e. it is the image of no feasible point of this architecture.
     """
+    if ch.num_users not in (1, 2):
+        raise ValueError(f"the phase subproblem is defined for 1 or 2 users, got {ch.num_users}")
     spec = problem.effective_spec
     bs = spec.block_size
     h, hd, g = ch.h_sat_ris, ch.h_direct, ch.g_ris_user
@@ -355,8 +364,13 @@ def solve_power_subproblem(ch: ChannelRealization, phi: np.ndarray,
     holds, so the smallest ordered split is optimal (gains tie -> the sum
     rate is split-invariant and the same boundary is returned).
 
-    Raises InfeasibleAllocationError when no split meets both minimum rates.
+    Raises DimensionError when phi is not K x K, ValueError unless ch has
+    exactly 2 users, and InfeasibleAllocationError when no split meets both
+    minimum rates.
     """
+    k = ch.num_elements
+    if np.shape(phi) != (k, k):
+        raise DimensionError(f"phase matrix shape {np.shape(phi)} does not match K={k}")
     return _evaluate(ch, phi @ ch.h_sat_ris, problem)[0]
 
 
@@ -373,6 +387,7 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
     unless ch has exactly 2 users, and InfeasibleAllocationError when the
     best start still misses a minimum rate.
     """
+    _require_two_users(ch)
     image, trace = solve_phase_subproblem(ch, problem, warm_image=warm_image)
     alloc, rates = _evaluate(ch, image, problem)
     return Solution(alloc, image, rates, trace, ch.h_sat_ris, problem.effective_spec)
@@ -382,7 +397,7 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
 # exact oracle: a search over the exposed points of the reachable channels
 # ---------------------------------------------------------------------------
 
-_DIRECTION_POINTS = (33, 64, 16)   # coarse points in t, p and (with direct links) a
+_DIRECTION_POINTS = (33, 64)       # coarse points in t and p
 _SEARCH_STARTS = 4                 # best coarse local maxima refined
 _SEARCH_MIN_STEP = 2.0 ** -40      # in units of the coarse spacing
 _SEARCH_MAX_ITERS = 60
@@ -418,7 +433,7 @@ def _pattern_search(score, n: int, spacing: np.ndarray):
         for col, (i, j) in enumerate(pairs, start=1 + d):
             hess[:, i, j] = hess[:, j, i] = coef[:, col] * (2.0 if i == j else 1.0)
         # Newton step within the model's concave directions only: the others
-        # are flat (a direction map with a redundant coordinate) or convex
+        # are flat or convex
         lam, vec = np.linalg.eigh(hess)
         concave = lam < -1e-6 * np.max(np.abs(lam), axis=1, keepdims=True)
         along = np.einsum("nij,ni->nj", vec, coef[:, 1:1 + d])
@@ -439,41 +454,43 @@ def _pattern_search(score, n: int, spacing: np.ndarray):
 def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     """Global sum-rate optimum for any K and every block size: the best
     closed-form-split sum rate at the exposed point y*(u) over unit u =
-    e^{ja}(cos t, e^{jp} sin t) in C^2 (the module docstring says why this is
-    exact). A direction whose split misses a minimum rate scores minus its
-    rate shortfall: below every feasible direction, and rising toward the
-    feasible set, so the search reaches feasible sets too thin for the grid.
-    The best few local maxima of a coarse grid, in a only with direct links
-    (y*(u) turns with u's phase, so each a costs O(1) there), are refined by
-    _pattern_search in a chart centred on each, u = e^{ja}(u_0 + xi u_0^perp)
-    / sqrt(1 + |xi|^2), regular where (t, p) is not. As a reference, the
-    oracle builds the Phi that its Solution's phase builds from the best
-    direction's image and reports _evaluate at Phi h, that Phi's rates. Raises
-    ValueError unless ch has exactly 2 users, and InfeasibleAllocationError
-    when that Phi misses a minimum rate.
+    (cos t, e^{jp} sin t) in C^2 (the module docstring says why this is
+    exact, with or without direct links). A direction whose split misses a
+    minimum rate scores minus its rate shortfall: below every feasible
+    direction, and rising toward the feasible set, so the search reaches
+    feasible sets too thin for the grid. The best few local maxima of a
+    coarse (t, p) grid are refined by _pattern_search in a chart centred on
+    each, u = (u_0 + xi u_0^perp) / sqrt(1 + |xi|^2), regular where (t, p)
+    is not. As a reference, the oracle builds the Phi that its Solution's
+    phase builds from the best direction's image and reports _evaluate at
+    Phi h, that Phi's rates. Raises ValueError unless ch has exactly 2
+    users, and InfeasibleAllocationError when that Phi misses a minimum rate.
     """
     _require_two_users(ch)
     spec = problem.effective_spec
     bs = spec.block_size
     h_norms = _norms(ch.h_sat_ris.reshape(-1, bs))
     gc_t = ch.g_ris_user.conj().T
+    one = np.ones(1)
 
     def image(u):
-        return _exposed(u @ ch.g_ris_user, h_norms, ch.h_sat_ris, bs)
+        # the direct links are one more one-element block, with incident
+        # channel 1 and outgoing channels conj(h_d); the image turned by
+        # conj(s), s its exposed phase (1 without direct links), has the
+        # gains of y*(u) = h_d s + g^H v
+        s = _exposed((u @ ch.h_direct.conj())[..., None], one, one, 1)
+        return _exposed(u @ ch.g_ris_user, h_norms, ch.h_sat_ris, bs) * s.conj()
 
     def rate(c):
         return _score(problem, np.abs(ch.h_direct + c) ** 2, ch.noise_mw)[0]
 
-    n_t, n_p, n_a = _DIRECTION_POINTS if np.any(ch.h_direct) else _DIRECTION_POINTS[:2] + (1,)
-    t, p, a = np.meshgrid((np.arange(n_t) + 0.5) * (np.pi / 2.0 / n_t),
-                          2.0 * np.pi * np.arange(n_p) / n_p,
-                          2.0 * np.pi * np.arange(n_a) / n_a, indexing="ij")
-    turn = np.exp(1j * a)[..., None]
+    n_t, n_p = _DIRECTION_POINTS
+    t, p = np.meshgrid((np.arange(n_t) + 0.5) * (np.pi / 2.0 / n_t),
+                       2.0 * np.pi * np.arange(n_p) / n_p, indexing="ij")
     dirs = np.stack([np.cos(t), np.exp(1j * p) * np.sin(t)], axis=-1)
-    scores = rate(turn * (image(dirs[:, :, :1]) @ gc_t))    # one O(K) map per (t, p)
-    dirs = turn * dirs
+    scores = rate(image(dirs) @ gc_t)
     peaks = np.full(scores.shape, True)
-    for axis in range(3):
+    for axis in range(2):
         for shift in (1, -1):
             near = np.roll(scores, shift, axis=axis)
             if axis == 0:             # t does not wrap around
@@ -486,11 +503,10 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
 
     def chart(x):
         xi = (x[..., 0] + 1j * x[..., 1])[..., None]
-        phase = np.exp(1j * np.sum(x[..., 2:], axis=-1, keepdims=True))   # a, if searched
-        return (u0 + xi * perp) * phase / np.sqrt(1.0 + np.abs(xi) ** 2)
+        return (u0 + xi * perp) / np.sqrt(1.0 + np.abs(xi) ** 2)
 
-    spacing = np.array([np.pi / 2.0 / n_t] * 2 + [2.0 * np.pi / n_a] * (n_a > 1))
-    x, f = _pattern_search(lambda x: rate(image(chart(x)) @ gc_t), len(u0), spacing)
+    x, f = _pattern_search(lambda x: rate(image(chart(x)) @ gc_t), len(u0),
+                           np.full(2, np.pi / 2.0 / n_t))
     v = image(chart(x[:, None, :])[int(np.argmax(f)), 0])
     phi = _surface_from_image(ch.h_sat_ris, v, spec)
     alloc, rates = _evaluate(ch, phi @ ch.h_sat_ris, problem)

@@ -154,6 +154,9 @@ class TestDrawRealization:
     def test_user_count_bounds(self):
         with pytest.raises(ValueError):
             default_draw(users=0)
+        # the default geometry lists two surface-to-user distances
+        with pytest.raises(ValueError, match="lists 2 surface-to-user distances, need 3"):
+            default_draw(users=3)
 
 
 class TestEffectiveChannel:

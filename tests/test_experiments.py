@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdris import experiments, optimizer
 from bdris.channel import GeometryParams, LinkBudgetParams, draw_realization
@@ -81,6 +82,20 @@ class TestRunSweeps:
         # a shuffled grid that repeats a K, over more processes than distinct K
         spec = small_spec(element_counts=(8, 2, 8), trials=2)
         assert run_element_sweep(spec, workers=1) == run_element_sweep(spec, workers=3)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 10.0, 20.0]), min_size=2, max_size=3),
+           st.lists(st.sampled_from([1, 2, 4, 8]), min_size=2, max_size=3),
+           st.sampled_from(["single", "full"]), st.integers(1, 2),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_property_rows_do_not_depend_on_the_worker_count(self, powers, counts, arch,
+                                                             trials, seed, direct):
+        # two or more points, so two workers start a pool; K may repeat
+        spec = small_spec(ris_spec=RisSpec(4, arch), power_points_dbm=tuple(powers),
+                          element_counts=tuple(counts), trials=trials, base_seed=seed,
+                          include_direct=direct)
+        assert run_power_sweep(spec, workers=1) == run_power_sweep(spec, workers=2)
+        assert run_element_sweep(spec, workers=1) == run_element_sweep(spec, workers=2)
 
     def test_pool_has_at_most_one_process_per_point(self, monkeypatch):
         started = []

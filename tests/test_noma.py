@@ -133,6 +133,11 @@ class TestMinPowerSplit:
     def test_zero_gain_with_positive_rate_is_impossible(self):
         assert min_power_split_for_far_rate(1.0, 10.0, 0.0, 1.0) == np.inf
 
+    def test_rejects_nonpositive_power(self):
+        for p in (0.0, -1.0):
+            with pytest.raises(ValueError, match="total_power_mw must be positive"):
+                min_power_split_for_far_rate(1.0, p, 0.5, 1.0)
+
     def test_broadcasts_over_gains(self):
         gains = np.array([[0.5, 0.0], [3.0, 1e-9]])
         for r_min in (0.0, 1.0):

@@ -63,6 +63,8 @@ class TestRisSpec:
     def test_group_divisibility(self):
         with pytest.raises(ValueError):
             RisSpec(6, "group", group_count=4)
+        with pytest.raises(ValueError, match="group_count must be >= 1"):
+            RisSpec(4, "group", group_count=0)
         assert RisSpec(6, "group", group_count=3).block_size == 2
 
     def test_sector_divisibility(self):
