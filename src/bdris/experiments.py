@@ -68,11 +68,13 @@ def solve_pair(ch: ChannelRealization, problem: ProblemSpec) -> dict:
     """Solve one realization with both schemes: CD_RIS from the identity,
     then BD_RIS from the CD image cd.image = Phi_cd h (from the identity
     when CD is infeasible), so BD never falls below CD. Neither solve builds
-    a Phi. problem.scheme is not read. Returns {scheme: Solution or the
+    a Phi. problem.scheme picks nothing: it only saves the copy of problem
+    for the scheme it names. Returns {scheme: Solution or the
     InfeasibleAllocationError it raised}."""
     def attempt(scheme, warm):
+        solve = problem if problem.scheme == scheme else replace(problem, scheme=scheme)
         try:
-            return bcd_solve(ch, replace(problem, scheme=scheme), warm_image=warm)
+            return bcd_solve(ch, solve, warm_image=warm)
         except InfeasibleAllocationError as exc:
             return exc
 

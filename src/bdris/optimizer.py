@@ -34,7 +34,11 @@ that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
   power for the near user, which the rate gradient at a fixed split
   (noma.sic_rate_gradient) does not see. So the power split moves inside
   every step, and no outer loop re-splits it. A step is kept only if it
-  raises the score by more than 1e-12 relative.
+  raises the score by more than 1e-12 relative. A step runs the shortfall,
+  binding-floor, masked-divide (q_b = 0, |q_b| out of range, |z| = 0) and
+  stopped-row branches only when some row reaches them; a branch it skips
+  would have selected, element by element, exactly what the unmasked
+  operations compute, so the bits do not move.
 
 The exact oracle (exact_oracle) searches the same directions globally. The
 score sees the effective channels only through their gains |y_u|^2, so a
@@ -114,7 +118,7 @@ class ProblemSpec:
     def power_mw(self) -> float:
         return db_to_linear(self.power_dbm)
 
-    @property
+    @functools.cached_property
     def effective_spec(self) -> RisSpec:
         """Feasible set actually optimized: the configured architecture for
         BD_RIS, the single-connected diagonal set for CD_RIS."""
@@ -168,6 +172,9 @@ def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
     """
     qb = q.reshape(q.shape[:-1] + (-1, bs))
     qn = _norms(qb)
+    if 1e-150 < np.minimum.reduce(qn, axis=None) and np.maximum.reduce(qn, axis=None) < 1e150:
+        # no block keeps its fallback and no rescaling: the divide below, unmasked
+        return (qb * (h_norms / qn)[..., None]).reshape(q.shape)
     if not 1e-150 < qn.max() < 1e150 and np.any(qb):
         # only the directions count: rescale so that |q_b|^2 neither under-
         # nor overflows, part by part (complex division by a subnormal overflows)
@@ -208,12 +215,18 @@ def _surface_from_image(h: np.ndarray, v: np.ndarray, spec: RisSpec) -> np.ndarr
 def _split(problem: ProblemSpec, g_s, g_w, noise: float):
     """The optimal full-power split alpha_far = max(0.5, alpha_far*) (at most
     1), whether it meets both minimum rates, and its (rate_near, rate_far),
-    per pair of strong and weak gains (all broadcast)."""
+    per pair of strong and weak gains (all broadcast). Without a far floor
+    alpha_far* = 0, and alpha_far is the scalar 0.5 for every pair."""
     p = problem.power_mw
-    a_star = min_power_split_for_far_rate(problem.min_rate_far, p, g_w, noise)
-    alpha_far = np.minimum(np.maximum(0.5, a_star), 1.0)
+    if problem.min_rate_far == 0.0:
+        alpha_far = 0.5
+    else:
+        a_star = min_power_split_for_far_rate(problem.min_rate_far, p, g_w, noise)
+        alpha_far = np.minimum(np.maximum(0.5, a_star), 1.0)
     r_n, r_f = sic_rates(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
-    feasible = (a_star <= 1.0 + 1e-12) & (r_n >= problem.min_rate_near * (1.0 - 1e-12))
+    feasible = r_n >= problem.min_rate_near * (1.0 - 1e-12)
+    if problem.min_rate_far != 0.0:
+        feasible = (a_star <= 1.0 + 1e-12) & feasible
     return alpha_far, feasible, r_n, r_f
 
 
@@ -223,19 +236,22 @@ def _score(problem: ProblemSpec, gains: np.ndarray, noise: float):
     split clipped to 1) where no split meets the minimum rates. A lone user
     is both strong and weak. Returns the score and the split it was taken at,
     which _slope reads, so a caller that needs no slope computes none."""
-    g_s, g_w = gains.max(axis=-1), gains.min(axis=-1)
+    g_s, g_w = np.maximum.reduce(gains, axis=-1), np.minimum.reduce(gains, axis=-1)
     alpha_far, feasible, r_n, r_f = _split(problem, g_s, g_w, noise)
+    if np.count_nonzero(feasible) == feasible.size:
+        return r_n + r_f, (g_s, g_w, alpha_far, None)
     short_f = np.maximum(problem.min_rate_far - r_f, 0.0)
     score = np.where(feasible, r_n + r_f,
                      -(np.maximum(problem.min_rate_near - r_n, 0.0) + short_f))
-    return score, (g_s, g_w, alpha_far, feasible, short_f)
+    # the rows whose weak gain counts at a fixed split (None: every row)
+    return score, (g_s, g_w, alpha_far, feasible | (short_f > 0.0))
 
 
 def _slope(problem: ProblemSpec, gains: np.ndarray, noise: float, split) -> np.ndarray:
     """Total derivative of _score in the gains, at the split _score returned
     for the same gains."""
     p = problem.power_mw
-    g_s, g_w, alpha_far, feasible, short_f = split
+    g_s, g_w, alpha_far, counted = split
     d_s, d_w = sic_rate_gradient(p, 1.0 - alpha_far, alpha_far, g_s, g_w, noise)
     # Where the far floor r binds, the far rate stays at r as g_w grows, and
     # alpha_far = c (1 + noise/(p g_w)), c = 1 - 2^-r, falls by
@@ -243,15 +259,19 @@ def _slope(problem: ProblemSpec, gains: np.ndarray, noise: float, split) -> np.n
     # Elsewhere the split is fixed, and a far rate above its floor does not
     # count in a shortfall (nor does a near rate, but where it meets its
     # floor and the far one does not, the split is 1 and d_s = 0).
-    binding = (alpha_far > 0.5) & (alpha_far < 1.0)
-    slide = np.divide(alpha_far + np.expm1(-problem.min_rate_far * LN2), g_w,
-                      out=np.zeros_like(g_w), where=binding)
-    w_weak = np.where(binding, p * g_s * slide / ((p * (1.0 - alpha_far) * g_s + noise) * LN2),
-                      np.where(feasible | (short_f > 0.0), d_w, 0.0))
-    users = np.arange(gains.shape[-1])
-    strong = np.argmax(gains, axis=-1)[..., None]   # ties go to the lower index, as in order_users
-    return ((users == strong) * d_s[..., None]
-            + (users == users[-1] - strong) * w_weak[..., None])
+    w_weak = d_w if counted is None else np.where(counted, d_w, 0.0)
+    if problem.min_rate_far != 0.0:
+        binding = (alpha_far > 0.5) & (alpha_far < 1.0)
+        if binding.any():
+            slide = np.divide(alpha_far + np.expm1(-problem.min_rate_far * LN2), g_w,
+                              out=np.zeros_like(g_w), where=binding)
+            w_weak = np.where(binding, p * g_s * slide
+                              / ((p * (1.0 - alpha_far) * g_s + noise) * LN2), w_weak)
+    if gains.shape[-1] == 1:
+        return (d_s + w_weak)[..., None]
+    # ties go to the lower index, as in order_users
+    strong = np.arange(2) == gains.argmax(axis=-1)[..., None]
+    return np.where(strong, d_s[..., None], w_weak[..., None])
 
 
 def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
@@ -285,15 +305,16 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
         if warm.shape != h.shape:
             raise ValueError(f"warm image of shape {warm.shape}, expected {h.shape}")
         off = np.abs(_norms(warm.reshape(-1, bs)) - h_norms)
-        if not np.all(off <= 1e-9 * h_norms):      # NaN fails too
+        if not (off <= 1e-9 * h_norms).all():      # NaN fails too
             raise ValueError(f"the warm image is infeasible for the "
                              f"{spec.architecture}-connected surface")
 
-    v = np.vstack([warm, _exposed(g, h_norms, h, bs)])
+    v = np.concatenate((warm[None], _exposed(g, h_norms, h, bs)))
     e = hd + v @ gc_t
     gains = np.abs(e) ** 2
-    f, split = _score(problem, gains, ch.noise_mw)
-    w = _slope(problem, gains, ch.noise_mw, split)
+    noise = ch.noise_mw
+    f, split = _score(problem, gains, noise)
+    w = _slope(problem, gains, noise, split)
     history = [f]
     steps = np.zeros(len(v), dtype=int)
     active = np.ones(len(v), dtype=bool)
@@ -305,26 +326,34 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
             # the global phase that maximizes the linearized score, by parts
             # since |z| may be subnormal; without direct links z = 0, every
             # phase scores alike and the turn is 1
-            z = np.sum(w * hd_c * c, axis=1)
+            z = (w * hd_c * c).sum(axis=1)
             mag = np.abs(z)
-            moved = mag > 0.0
-            turn = (np.divide(z.real, mag, out=np.ones_like(mag), where=moved)
-                    - 1j * np.divide(z.imag, mag, out=np.zeros_like(mag), where=moved))[:, None]
+            if np.minimum.reduce(mag) > 0.0:
+                turn = (z.real / mag - 1j * (z.imag / mag))[:, None]
+            else:
+                moved = mag > 0.0
+                turn = (np.divide(z.real, mag, out=np.ones_like(mag), where=moved)
+                        - 1j * np.divide(z.imag, mag, out=np.zeros_like(mag),
+                                         where=moved))[:, None]
             cand, c = turn * cand, turn * c
         e_cand = hd + c
         gains = np.abs(e_cand) ** 2
-        f_cand, split = _score(problem, gains, ch.noise_mw)
+        f_cand, split = _score(problem, gains, noise)
         active &= f_cand > f + _IMPROVE_MARGIN * np.abs(f)
-        if not active.any():
+        kept = np.count_nonzero(active)
+        if not kept:
             break
-        w_cand = _slope(problem, gains, ch.noise_mw, split)
-        v = np.where(active[:, None], cand, v)
-        e = np.where(active[:, None], e_cand, e)
-        w = np.where(active[:, None], w_cand, w)
-        f = np.where(active, f_cand, f)
+        w_cand = _slope(problem, gains, noise, split)
+        if kept == len(active):
+            v, e, w, f = cand, e_cand, w_cand, f_cand
+        else:
+            v = np.where(active[:, None], cand, v)
+            e = np.where(active[:, None], e_cand, e)
+            w = np.where(active[:, None], w_cand, w)
+            f = np.where(active, f_cand, f)
         steps += active
         history.append(f)
-    best = int(np.argmax(f))
+    best = int(f.argmax())
     trace = tuple(float(scores[best]) for scores in history[:steps[best] + 1])
     return v[best], trace
 

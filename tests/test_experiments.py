@@ -313,3 +313,13 @@ class TestPinnedSweepBytes:
         assert [_sha256(p) for p in paths] == [
             "e0c0ec80bf288a9d13b37bce0190d69af55efc29ddd8138cd7269f95ffe2f8c6",
             "ecac92ab3fdf798a808185c22b9dde1db9fc2ec502e68e914b529472dbdd1e34"]
+
+    def test_power_sweep_full_k4_with_a_far_floor(self, tmp_path):
+        # the floor branches of the score and slope: all of 0 dBm is outage,
+        # and at 10 dBm trial 0 splits at alpha_far = 0.5 while the far floor
+        # binds on trials 1 and 2 (CD at 0.741 and 0.568, BD at 0.662 and 0.563)
+        spec = small_spec(ris_spec=RisSpec(4, "full"), trials=3, min_rate_far=2.5e-17)
+        paths = emit_csv(run_power_sweep(spec), str(tmp_path / "power.csv"))
+        assert [_sha256(p) for p in paths] == [
+            "7ee81dfe2b8aeebddf39238d085ff376ce8d3b671e40869b3a2e461f6a14110f",
+            "6806f6d12780fbfc58d7cc53aa01092377eb831e34ea39304a4cf73d95e0aedf"]

@@ -158,6 +158,29 @@ class TestScore:
         assert np.allclose(missed, np.log2(6.0) - 5.0, rtol=1e-15)
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([1, 2]),
+           st.lists(st.floats(-3.0, 2.0), min_size=12, max_size=12),
+           st.lists(st.booleans(), min_size=6, max_size=6),
+           st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+           st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    def test_property_a_row_does_not_depend_on_the_rows_beside_it(self, rows, users, exps,
+                                                                 tied, near, far):
+        # gains from 1e-3 to 1e2 at p/noise = 10 leave the far floor free,
+        # binding or missed, and the near floor met or missed, row by row;
+        # tied rows give both users one gain
+        gains = 10.0 ** np.array(exps[:2 * rows]).reshape(rows, 2)
+        gains[np.array(tied[:rows]), 1] = gains[np.array(tied[:rows]), 0]
+        gains = gains[:, :users]
+        problem = ProblemSpec(RisSpec(1), 10.0, min_rate_near=near, min_rate_far=far)
+        score, split = _score(problem, gains, 1.0)
+        slope = _slope(problem, gains, 1.0, split)
+        for row in range(rows):
+            alone, alone_split = _score(problem, gains[row], 1.0)
+            assert np.array_equal(score[row], alone)
+            assert np.array_equal(slope[row], _slope(problem, gains[row], 1.0, alone_split))
+
+
 def block_specs():
     """Diagonal, full and group-connected surfaces the image step runs on."""
     specs = [RisSpec(k, "single") for k in (1, 3, 12)]
