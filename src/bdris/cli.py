@@ -21,9 +21,9 @@ import numpy as np
 from .channel import draw_realization
 from .config import (ConfigError, SimConfig, apply_overrides, echo_config, geometry_from,
                      link_budget_from, load_config, ris_spec_from)
-from .experiments import (SweepSpec, emit_csv, emit_plot_script, oracle_report, oracle_suite,
-                          run_element_sweep, run_power_sweep, solve_pair)
-from .optimizer import InfeasibleAllocationError, ProblemSpec
+from .experiments import (SweepSpec, _sweep_points, emit_csv, emit_plot_script, oracle_report,
+                          oracle_suite, run_element_sweep, run_power_sweep, solve_pair)
+from .optimizer import InfeasibleAllocationError, ProblemSpec, Solution
 from .surfaces import DimensionError, RisSpec, hardware_complexity, validate
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,8 +123,10 @@ def _cmd_solve_one(cfg: SimConfig) -> int:
     problem = ProblemSpec(spec, cfg.power_dbm, cfg.min_rate_near, cfg.min_rate_far)
     code = 0
     for scheme, solution in solve_pair(ch, problem).items():
-        if isinstance(solution, InfeasibleAllocationError):
-            print(f"scheme={scheme} infeasible: {solution}", file=sys.stderr)
+        if not isinstance(solution, Solution):
+            failure = ("infeasible" if isinstance(solution, InfeasibleAllocationError)
+                       else "numeric failure")
+            print(f"scheme={scheme} {failure}: {solution}", file=sys.stderr)
             code = 1
             continue
         r, a = solution.rates, solution.allocation
@@ -154,6 +156,10 @@ def _cmd_sweep(cfg: SimConfig, kind: str, workers: int) -> int:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     _require_reflective(cfg)
     sweep = _sweep_spec_from(cfg)
+    try:
+        _sweep_points(sweep, kind)      # every point's surface, before any trial runs
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if kind == "power":
         result = run_power_sweep(sweep, workers=workers)
         stem = "power_sweep"

@@ -1,19 +1,25 @@
 """
 Monte-Carlo sweeps comparing beyond-diagonal and conventional surfaces.
 
-Each sweep point solves `trials` independent channel realizations for every
-requested scheme. Realizations are paired: both schemes see the same draw,
-produced from the dedicated stream default_rng([base_seed, point_index,
-trial]), so results are reproducible run-to-run and independent of how the
-points are distributed over workers. Every trial is one solve_pair: the
-beyond-diagonal solve is warm-started from the converged conventional
-surface's image v = Phi h, which makes its sum rate dominate the baseline
-trial by trial. A sweep writes rates only, so it builds no Phi: both solves
-work on images, and a Solution builds its Phi only when its phase is read.
+Before any trial runs, a sweep turns its grid into one job per point: the
+point's ProblemSpec and its stream key (the grid index of a power point,
+K itself for an element point), so a grid whose surface cannot exist fails
+before any work. Each job then runs `trials` paired realizations: both
+schemes see the same draw, produced from the dedicated stream
+default_rng([base_seed, stream_key, trial]), so results are reproducible
+run-to-run and independent of how the points are distributed over workers.
+Every trial is one solve_pair: the beyond-diagonal solve is warm-started
+from the converged conventional surface's image v = Phi h, which makes its
+sum rate dominate the baseline trial by trial. A scheme that fails writes
+its own row with rates 0 and outage code 1 (infeasible) or 2 (numeric
+failure), and the sweep goes on. A sweep writes rates only, so it builds
+no Phi: both solves work on images, and a Solution builds its Phi only
+when its phase is read.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -21,7 +27,7 @@ import numpy as np
 
 from .channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                       draw_realization)
-from .optimizer import (InfeasibleAllocationError, ProblemSpec, SCHEMES, bcd_solve,
+from .optimizer import (InfeasibleAllocationError, ProblemSpec, SCHEMES, Solution, bcd_solve,
                         exact_oracle, solve_phase_subproblem)
 from .surfaces import RisSpec
 
@@ -67,19 +73,26 @@ class SweepResult:
 def solve_pair(ch: ChannelRealization, problem: ProblemSpec) -> dict:
     """Solve one realization with both schemes: CD_RIS from the identity,
     then BD_RIS from the CD image cd.image = Phi_cd h (from the identity
-    when CD is infeasible), so BD never falls below CD. Neither solve builds
-    a Phi. problem.scheme picks nothing: it only saves the copy of problem
-    for the scheme it names. Returns {scheme: Solution or the
-    InfeasibleAllocationError it raised}."""
+    when CD has no Solution), so BD never falls below CD. Neither solve
+    builds a Phi. problem.scheme picks nothing: it only saves the copy of
+    problem for the scheme it names. Returns {scheme: Solution, the
+    InfeasibleAllocationError it raised, or its numeric failure: the
+    ArithmeticError it raised, or a FloatingPointError when it returned a
+    non-finite rate}. Any other exception propagates."""
     def attempt(scheme, warm):
         solve = problem if problem.scheme == scheme else replace(problem, scheme=scheme)
         try:
-            return bcd_solve(ch, solve, warm_image=warm)
-        except InfeasibleAllocationError as exc:
+            solution = bcd_solve(ch, solve, warm_image=warm)
+        except (InfeasibleAllocationError, ArithmeticError) as exc:
             return exc
+        r = solution.rates
+        if not all(map(math.isfinite, (r.rate_near, r.rate_far, r.sum_rate))):
+            return FloatingPointError(f"{scheme} solve returned non-finite rates "
+                                      f"(near {r.rate_near}, far {r.rate_far})")
+        return solution
 
     cd = attempt("CD_RIS", None)
-    bd = attempt("BD_RIS", None if isinstance(cd, InfeasibleAllocationError) else cd.image)
+    bd = attempt("BD_RIS", cd.image if isinstance(cd, Solution) else None)
     return {"CD_RIS": cd, "BD_RIS": bd}
 
 
@@ -139,41 +152,48 @@ def oracle_report(arms: dict) -> tuple:
     return lines, all(passed.values())
 
 
-def _solve_trial(spec: SweepSpec, ris: RisSpec, power_dbm: float,
-                 stream_key: int, trial: int) -> list:
-    rng = np.random.default_rng([spec.base_seed, stream_key, trial])
-    ch = draw_realization(spec.geometry, spec.link_budget, ris.num_elements,
-                          num_users=2, include_direct=spec.include_direct, rng=rng)
-    pair = solve_pair(ch, ProblemSpec(ris, power_dbm, spec.min_rate_near, spec.min_rate_far))
-    rows = []
-    for scheme in spec.schemes:
-        solution = pair[scheme]
-        if isinstance(solution, InfeasibleAllocationError):
-            rows.append((power_dbm, ris.num_elements, scheme, trial, 0.0, 0.0, 0.0, 1))
-        else:
-            r = solution.rates
-            rows.append((power_dbm, ris.num_elements, scheme, trial,
-                         r.rate_near, r.rate_far, r.sum_rate, 0))
-    return rows
-
-
-def _run_point(args) -> list:
-    spec, kind, point_index = args
+def _sweep_points(spec: SweepSpec, kind: str) -> list:
+    """One (ProblemSpec, stream key) per grid point, in grid order. Power
+    points are floats, so their stream keys on the grid index. Element
+    points key on K itself, so duplicate K entries reproduce identical rows
+    and control points stay stable when the grid composition changes.
+    Raises ValueError naming the K whose surface cannot exist, such as one
+    that group_count does not divide."""
+    floors = (spec.min_rate_near, spec.min_rate_far)
     if kind == "power":
-        # power points are floats, so the stream keys on the point index
-        power_dbm = float(spec.power_points_dbm[point_index])
-        ris = spec.ris_spec
-        stream_key = point_index
-    else:
-        # keying on the element count itself makes duplicate K entries
-        # reproduce identical rows and keeps control points stable when
-        # the grid composition changes
-        power_dbm = float(spec.power_dbm)
-        ris = replace(spec.ris_spec, num_elements=int(spec.element_counts[point_index]))
-        stream_key = ris.num_elements
+        return [(ProblemSpec(spec.ris_spec, float(p), *floors), i)
+                for i, p in enumerate(spec.power_points_dbm)]
+    points = []
+    for k in map(int, spec.element_counts):
+        try:
+            ris = replace(spec.ris_spec, num_elements=k)
+        except ValueError as exc:
+            raise ValueError(f"element sweep point K={k}: {exc}") from None
+        points.append((ProblemSpec(ris, float(spec.power_dbm), *floors), k))
+    return points
+
+
+def _run_point(spec: SweepSpec, problem: ProblemSpec, stream_key: int) -> list:
+    """The rows of one sweep point: each trial draws from
+    default_rng([base_seed, stream_key, trial]) and solves one pair, and
+    each scheme writes one row with its outage code: 0 solved, 1
+    infeasible, 2 numeric failure (rates 0 unless solved)."""
+    power_dbm, k = problem.power_dbm, problem.ris_spec.num_elements
     rows = []
     for trial in range(spec.trials):
-        rows.extend(_solve_trial(spec, ris, power_dbm, stream_key, trial))
+        rng = np.random.default_rng([spec.base_seed, stream_key, trial])
+        ch = draw_realization(spec.geometry, spec.link_budget, k, num_users=2,
+                              include_direct=spec.include_direct, rng=rng)
+        pair = solve_pair(ch, problem)
+        for scheme in spec.schemes:
+            outcome = pair[scheme]
+            if isinstance(outcome, Solution):
+                r = outcome.rates
+                rows.append((power_dbm, k, scheme, trial,
+                             r.rate_near, r.rate_far, r.sum_rate, 0))
+            else:
+                code = 1 if isinstance(outcome, InfeasibleAllocationError) else 2
+                rows.append((power_dbm, k, scheme, trial, 0.0, 0.0, 0.0, code))
     return rows
 
 
@@ -194,18 +214,17 @@ def _aggregate_point(point_rows) -> list:
 
 
 def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
-    n_points = len(spec.power_points_dbm if kind == "power" else spec.element_counts)
-    jobs = [(spec, kind, i) for i in range(n_points)]
-    processes = min(workers, n_points)    # a process beyond one per point has no job
+    jobs = [(spec, problem, key) for problem, key in _sweep_points(spec, kind)]
+    processes = min(workers, len(jobs))    # a process beyond one per point has no job
     if processes > 1:
-        # map preserves job order, so the row set is identical for any
+        # starmap preserves job order, so the row set is identical for any
         # worker count; the final sort fixes the layout either way
         import multiprocessing
 
         with multiprocessing.Pool(processes=processes) as pool:
-            per_point = pool.map(_run_point, jobs)
+            per_point = pool.starmap(_run_point, jobs)
     else:
-        per_point = [_run_point(job) for job in jobs]
+        per_point = [_run_point(*job) for job in jobs]
     detail = sorted((row for rows in per_point for row in rows),
                     key=lambda r: (r[0], r[1], r[2], r[3]))
     aggregate = sorted((row for rows in per_point for row in _aggregate_point(rows)),

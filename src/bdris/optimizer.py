@@ -440,7 +440,15 @@ def _pattern_search(score, n: int, spacing: np.ndarray):
     narrow valleys that stall the stencil alone. The best point beating x by more
     than rounding is the next x, and sets the step to twice its distance
     if it is the fitted one (within [1/16, 1] of the old step); with no such
-    point the step quarters. Returns the final points and scores."""
+    point the step quarters. Returns the final points and scores.
+
+    On channels with direct links, _SEARCH_MAX_ITERS, not the step floor,
+    often ends the search: on 22 of 60 satellite-scale oracle calls (K=2
+    diagonal, K=8 full and K=80 G=16, 10 draws each with and without direct
+    links, 20 dBm), all 22 with direct links. Run to the floor, those calls
+    take 63 to 1,709 iterations and up to about 20 times the time, and gain
+    at most 4.7e-12 relative, inside the oracle band's 1e-10 edge, so the
+    cap stays."""
     d = len(spacing)
     z = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
     pairs = [(i, j) for i in range(d) for j in range(i, d)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bdris
+from bdris import experiments
 from bdris.cli import main
 from bdris.surfaces import RisSpec, random_feasible
 
@@ -193,6 +194,20 @@ class TestSolveOne:
         assert code == 1 and out == ""
         assert "scheme=CD_RIS infeasible" in err and "scheme=BD_RIS infeasible" in err
 
+    def test_numeric_failure_exit_1(self, capsys, monkeypatch):
+        solve = experiments.bcd_solve
+
+        def failing_bd(ch, problem, warm_image=None):
+            if problem.scheme == "BD_RIS":
+                raise FloatingPointError("injected")
+            return solve(ch, problem, warm_image=warm_image)
+
+        monkeypatch.setattr(experiments, "bcd_solve", failing_bd)
+        code, out, err = run(capsys, *self.ARGS, "solve-one")
+        assert code == 1
+        assert [line.split()[0] for line in out.splitlines()] == ["scheme=CD_RIS"]
+        assert err == "scheme=BD_RIS numeric failure: injected\n"
+
     @pytest.mark.parametrize("key", ["bcd_max_iters", "bcd_rate_tol"])
     def test_removed_solver_keys_are_unknown(self, capsys, key):
         code, out, err = run(capsys, "--set", f"{key}=1", "solve-one")
@@ -260,6 +275,23 @@ class TestSweepCommands:
         a = (tmp_path / "a" / "power_sweep.csv").read_bytes()
         b = (tmp_path / "b" / "power_sweep.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_element_grid_that_group_count_does_not_divide_exit_2(self, tmp_path, capsys,
+                                                                   workers):
+        # G=4 divides the configured K=80 but not the grid's K=10
+        code, out, err = run(capsys, "--set", "architecture=group", "--set", "group_count=4",
+                             "--set", f"out_dir={tmp_path}", "sweep-elements",
+                             "--workers", workers)
+        assert code == 2 and out == ""
+        assert err == ("config error: element sweep point K=10: "
+                       "group_count 4 must divide the matrix dimension 10\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_power_sweep_at_g16_ignores_the_element_grid(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "--set", "architecture=group", "--set", "group_count=16",
+                           "--set", "trials=1", "--set", f"out_dir={tmp_path}", "sweep-power")
+        assert code == 0 and "(10 rows)" in out
 
     def test_non_reflective_mode_exit_2(self, capsys):
         code, _, _ = run(capsys, "--set", "mode=multisector", "sweep-power")

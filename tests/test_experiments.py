@@ -4,7 +4,7 @@ import csv
 import hashlib
 import io
 import multiprocessing
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from bdris.channel import GeometryParams, LinkBudgetParams, draw_realization
 from bdris.experiments import (AGGREGATE_HEADER, DETAIL_HEADER, SweepResult,
                                SweepSpec, emit_csv, emit_plot_script,
                                run_element_sweep, run_power_sweep, solve_pair)
+from bdris.noma import RateResult
 from bdris.optimizer import SCHEMES, InfeasibleAllocationError, ProblemSpec
 from bdris.surfaces import RisSpec, validate
 
@@ -110,8 +111,8 @@ class TestRunSweeps:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
+            def starmap(self, fn, jobs):
+                return [fn(*job) for job in jobs]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         two_points = small_spec(trials=1)
@@ -119,6 +120,18 @@ class TestRunSweeps:
         one_point = small_spec(trials=1, power_points_dbm=(10.0,))
         assert run_power_sweep(one_point, workers=8) == run_power_sweep(one_point)
         assert started == [2]             # the one-point sweep ran without a pool
+
+    def test_element_grid_is_checked_before_any_trial(self, monkeypatch):
+        # K=8 has a surface at G=4, K=10 has none: no point may run first
+        calls = []
+        monkeypatch.setattr(experiments, "bcd_solve", lambda *args, **kw: calls.append(args))
+        spec = small_spec(ris_spec=RisSpec(8, "group", group_count=4), element_counts=(8, 10))
+        with pytest.raises(ValueError, match="K=10: group_count 4 must divide"):
+            run_element_sweep(spec)
+        assert calls == []
+        # a power sweep never reads the element grid
+        monkeypatch.undo()
+        assert len(run_power_sweep(replace(spec, trials=1)).detail_rows) == 4
 
     def test_element_sweep_varies_k(self):
         result = run_element_sweep(small_spec(trials=2))
@@ -253,6 +266,94 @@ class TestSolvePair:
         calls = self.counting(monkeypatch)
         run_power_sweep(small_spec(trials=2))
         assert [scheme for scheme, _ in calls] == ["CD_RIS", "BD_RIS"] * 4
+
+
+class TestNumericFailures:
+    """A solve that raises an ArithmeticError, or returns a non-finite rate,
+    is a numeric failure: a row of its own with rates 0 and outage 2, counted
+    in outage_count and out of the mean. Other exceptions propagate."""
+
+    @staticmethod
+    def draw(spec, stream_key, trial):
+        return draw_realization(spec.geometry, spec.link_budget, spec.ris_spec.num_elements,
+                                include_direct=spec.include_direct,
+                                rng=np.random.default_rng([spec.base_seed, stream_key, trial]))
+
+    @staticmethod
+    def inject(monkeypatch, scheme, target, fail):
+        """Route the `scheme` solve of the draw whose h is target to fail;
+        the draw, not a call count, picks the trial in any worker process."""
+        calls, solve = [], experiments.bcd_solve
+
+        def faulty(ch, problem, warm_image=None):
+            hit = problem.scheme == scheme and np.array_equal(ch.h_sat_ris, target)
+            calls.append((problem.scheme, hit, warm_image))
+            if hit:
+                return fail(solve(ch, problem, warm_image=warm_image))
+            return solve(ch, problem, warm_image=warm_image)
+
+        monkeypatch.setattr(experiments, "bcd_solve", faulty)
+        return calls
+
+    @staticmethod
+    def others(rows, power_dbm, trial):
+        return [r for r in rows if (r[0], r[3]) != (power_dbm, trial)]
+
+    def test_a_raising_cd_solve_starts_bd_from_the_identity(self, monkeypatch):
+        spec = small_spec()
+        clean = run_power_sweep(spec)
+        ch = self.draw(spec, 1, 1)                 # 10 dBm, trial 1
+
+        def fail(solution):
+            raise FloatingPointError("injected")
+
+        calls = self.inject(monkeypatch, "CD_RIS", ch.h_sat_ris, fail)
+        result = run_power_sweep(spec)
+        hit = [h for _, h, _ in calls].index(True)
+        assert calls[hit + 1] == ("BD_RIS", False, None)     # the failed trial's BD solve
+        bd = optimizer.bcd_solve(ch, ProblemSpec(spec.ris_spec, 10.0))
+        r = bd.rates
+        assert [row for row in result.detail_rows if (row[0], row[3]) == (10.0, 1)] == [
+            (10.0, 4, "BD_RIS", 1, r.rate_near, r.rate_far, r.sum_rate, 0),
+            (10.0, 4, "CD_RIS", 1, 0.0, 0.0, 0.0, 2)]
+        assert self.others(result.detail_rows, 10.0, 1) == self.others(clean.detail_rows, 10.0, 1)
+        cd_ok = [row[6] for row in clean.detail_rows
+                 if row[:3] == (10.0, 4, "CD_RIS") and row[3] != 1]
+        assert (10.0, 4, "CD_RIS", float(np.mean(cd_ok)), float(np.std(cd_ok, ddof=1)), 2,
+                1) in result.aggregate_rows
+        assert run_power_sweep(spec, workers=2) == result
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_bd_rate_is_an_outage_out_of_the_mean(self, monkeypatch, bad):
+        spec = small_spec()
+        clean = run_power_sweep(spec)
+        self.inject(monkeypatch, "BD_RIS", self.draw(spec, 0, 2).h_sat_ris,   # 0 dBm, trial 2
+                    lambda sol: replace(sol, rates=RateResult(bad, bad, bad, (0, 1))))
+        result = run_power_sweep(spec)
+        moved = [b for a, b in zip(clean.detail_rows, result.detail_rows) if a != b]
+        assert moved == [(0.0, 4, "BD_RIS", 2, 0.0, 0.0, 0.0, 2)]
+        bd_ok = [row[6] for row in clean.detail_rows
+                 if row[:3] == (0.0, 4, "BD_RIS") and row[3] != 2]
+        assert result.aggregate_rows[0] == (0.0, 4, "BD_RIS", float(np.mean(bd_ok)),
+                                            float(np.std(bd_ok, ddof=1)), 2, 1)
+        assert result.aggregate_rows[1:] == clean.aggregate_rows[1:]
+        assert run_power_sweep(spec, workers=2) == result
+
+    def test_solve_pair_returns_the_failure(self, monkeypatch):
+        ch = self.draw(small_spec(), 0, 0)
+        self.inject(monkeypatch, "CD_RIS", ch.h_sat_ris,
+                    lambda sol: replace(sol, rates=replace(sol.rates, sum_rate=np.inf)))
+        pair = solve_pair(ch, ProblemSpec(RisSpec(4, "full"), 10.0))
+        assert isinstance(pair["CD_RIS"], FloatingPointError)
+        assert pair["BD_RIS"].rates.sum_rate > 0.0
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def broken(ch, problem, warm_image=None):
+            raise TypeError("not a numeric failure")
+
+        monkeypatch.setattr(experiments, "bcd_solve", broken)
+        with pytest.raises(TypeError, match="not a numeric failure"):
+            run_power_sweep(small_spec())
 
 
 class TestSweepsOnImages:

@@ -686,6 +686,17 @@ class TestExactOracle:
             solved = bcd_solve(ch, problem).rates.sum_rate
             assert solution.rates.sum_rate >= solved * (1.0 - 1e-10)
 
+    def test_the_iteration_cap_costs_rounding_only(self, monkeypatch):
+        # a direct-link draw on which the cap, not the step floor, ends the
+        # search; run to the floor it gains 4.7e-12 relative
+        ch = draw_realization(GeometryParams(), LinkBudgetParams(), 2, 2, True,
+                              np.random.default_rng([777, 2, 2]))
+        problem = ProblemSpec(RisSpec(2, "single"), 20.0)
+        capped = exact_oracle(ch, problem).rates.sum_rate
+        monkeypatch.setattr(optimizer, "_SEARCH_MAX_ITERS", 3000)
+        to_the_floor = exact_oracle(ch, problem).rates.sum_rate
+        assert -1e-11 <= capped / to_the_floor - 1.0 <= 1e-15
+
     def test_oracle_infeasible_raises(self):
         ch = unit_channel(2, seed=1)
         problem = ProblemSpec(RisSpec(2, "single"), 10.0, min_rate_far=80.0)
