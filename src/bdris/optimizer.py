@@ -12,7 +12,7 @@ Solution builds Phi only when its phase is read; the oracle builds Phi and
 passes Phi h, so it reports that Phi's rates, as a reference. Phi is built
 from h and v alone (_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
 c c^H/(1 + s)) with z = h_b^H v_b/|h_b^H v_b|, a' = z h_b/|h_b|, v' =
-v_b/|h_b|, c = a' + v' and s = a'^H v' >= 0, the rotation of span{h_b, v_b}
+v_b/|v_b|, c = a' + v' and s = a'^H v' >= 0, the rotation of span{h_b, v_b}
 that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
 
 - Power split (_split): with the SIC ordering fixed by the gains, the
@@ -28,14 +28,15 @@ that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
   w the derivative of the score in the two gains |e_u|^2. Since
   d score = 2 Re<q, dv>, the exposed point is the feasible image that
   maximizes the score's linearization, and the global phase that maximizes
-  it follows (all feasible sets are closed under scalar phase rotation; the
-  phase matters only with direct links). w is a total derivative: where the
-  far user's floor binds, alpha_far* falls as the weak gain grows and frees
-  power for the near user, which the rate gradient at a fixed split
-  (noma.sic_rate_gradient) does not see. So the power split moves inside
+  it follows, the exposed point of a one-element block (all feasible sets
+  are closed under scalar phase rotation; the phase matters only with direct
+  links). w is a total derivative: where the far user's floor binds,
+  alpha_far* falls as the weak gain grows and frees power for the near user,
+  which the rate gradient at a fixed split (noma.sic_rate_gradient) does not
+  see. So the power split moves inside
   every step, and no outer loop re-splits it. A step is kept only if it
   raises the score by more than 1e-12 relative. A step runs the shortfall,
-  binding-floor, masked-divide (q_b = 0, |q_b| out of range, |z| = 0) and
+  binding-floor, masked-divide (q_b = 0, |q_b| out of range) and
   stopped-row branches only when some row reaches them; a branch it skips
   would have selected, element by element, exactly what the unmasked
   operations compute, so the bits do not move.
@@ -89,6 +90,7 @@ SCHEMES = ("BD_RIS", "CD_RIS")
 
 _IMPROVE_MARGIN = 1e-12
 _PHASE_STEPS = 100
+_ONE = np.ones(1)      # the norm and the fallback of a one-element unit block
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -189,26 +191,25 @@ def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
 
 def _surface_from_image(h: np.ndarray, v: np.ndarray, spec: RisSpec) -> np.ndarray:
     """The feasible Phi with the per-block rotation of the module docstring,
-    so Phi h = v for every image with |v_b| = |h_b|. The rank-two update
-    works in units of |h_b|, so its squares stay in range, and 1 + s >= 1. A
+    so Phi h = v for every image with |v_b| = |h_b|. Its unit blocks h_b/|h_b|,
+    v_b/|v_b| and z are exposed points (_exposed), so Phi is finite and
+    feasible for every representable feasible image, and 1 + s >= 1. A
     one-element block is z alone, so a diagonal Phi is exactly diag(z); a
     block with h_b = 0 is the identity."""
     bs = spec.block_size
-    hb, vb = h.reshape(-1, bs), v.reshape(-1, bs)
-    dot = np.sum(hb.conj() * vb, axis=1)
-    mag = np.abs(dot)
-    z = np.divide(dot, mag, out=np.ones_like(dot), where=mag > 0.0)
+    units = np.ones(spec.num_blocks)
+    hp = _exposed(h, units, h, bs).reshape(-1, bs)
+    vp = _exposed(v, units, v, bs).reshape(-1, bs)
+    z = _exposed(np.sum(hp.conj() * vp, axis=1)[:, None], _ONE, _ONE, 1)
     if bs == 1:
-        return block_diagonal(z, spec)[0]
-    rho = np.linalg.norm(hb, axis=1)[:, None]
-    ap = np.divide(z[:, None] * hb, rho, out=np.zeros_like(hb), where=rho > 0.0)
-    vp = np.divide(vb, rho, out=np.zeros_like(vb), where=rho > 0.0)
+        return block_diagonal(z[:, 0], spec)[0]
+    ap = z * hp
     s = np.sum(ap.conj() * vp, axis=1).real
     c = ap + vp
     left = np.stack([2.0 * vp, c / -(1.0 + s)[:, None]], axis=2)   # (blocks, bs, 2)
     blocks = left @ np.stack([ap.conj(), c.conj()], axis=1)        # the rank-two update
     blocks.reshape(len(z), -1)[:, ::bs + 1] += 1.0
-    blocks *= z[:, None, None]
+    blocks *= z[:, :, None]
     return block_diagonal(blocks, spec)[0]
 
 
@@ -297,7 +298,7 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     spec = problem.effective_spec
     bs = spec.block_size
     h, hd, g = ch.h_sat_ris, ch.h_direct, ch.g_ris_user
-    gc_t, hd_c = g.conj().T, hd.conj()
+    gc_t = g.conj().T
     h_norms = _norms(h.reshape(-1, bs))
     warm = h
     if warm_image is not None:
@@ -323,18 +324,10 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
         cand = _exposed((w * e) @ g, h_norms, v, bs)
         c = cand @ gc_t
         if direct:
-            # the global phase that maximizes the linearized score, by parts
-            # since |z| may be subnormal; without direct links z = 0, every
-            # phase scores alike and the turn is 1
-            z = (w * hd_c * c).sum(axis=1)
-            mag = np.abs(z)
-            if np.minimum.reduce(mag) > 0.0:
-                turn = (z.real / mag - 1j * (z.imag / mag))[:, None]
-            else:
-                moved = mag > 0.0
-                turn = (np.divide(z.real, mag, out=np.ones_like(mag), where=moved)
-                        - 1j * np.divide(z.imag, mag, out=np.zeros_like(mag),
-                                         where=moved))[:, None]
+            # the global phase that maximizes the linearized score: the exposed
+            # point of the one-element block conj(z), z = sum w conj(h_d) c, and
+            # 1 where z = 0 (without direct links every phase scores alike)
+            turn = _exposed((w * hd * c.conj()).sum(axis=1)[:, None], _ONE, _ONE, 1)
             cand, c = turn * cand, turn * c
         e_cand = hd + c
         gains = np.abs(e_cand) ** 2
@@ -368,13 +361,16 @@ def _evaluate(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -
     RateResult, from the two effective channels h_d[u] + g_u^H v, each formed
     as channel.effective_channel forms it. Raises ValueError unless there are
     exactly 2 users, and InfeasibleAllocationError when no split meets both
-    minimum rates."""
+    minimum rates, or FloatingPointError when the sum rate is not finite (a
+    numeric failure, not an outage)."""
     _require_two_users(ch)
     gains = [abs(complex(ch.h_direct[u] + ch.g_ris_user[u].conj() @ image)) ** 2
              for u in range(2)]
     strong = int(gains[1] > gains[0])     # ties go to the lower index, as in order_users
     alpha_far, feasible, r_n, r_f = _split(problem, gains[strong], gains[1 - strong],
                                            ch.noise_mw)
+    if not np.isfinite(r_n + r_f):
+        raise FloatingPointError(f"non-finite rates (near {r_n}, far {r_f})")
     if not feasible:
         raise InfeasibleAllocationError(
             f"no full-power split meets the minimum rates (near {problem.min_rate_near}, "
@@ -413,8 +409,9 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
 
     The Solution's trace is the winning start's ascent trace, and converged
     is False only when that start ran into the step cap. Raises ValueError
-    unless ch has exactly 2 users, and InfeasibleAllocationError when the
-    best start still misses a minimum rate.
+    unless ch has exactly 2 users, InfeasibleAllocationError when the best
+    start still misses a minimum rate, and FloatingPointError when its rate
+    is not finite.
     """
     _require_two_users(ch)
     image, trace = solve_phase_subproblem(ch, problem, warm_image=warm_image)
@@ -484,15 +481,17 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     bs = spec.block_size
     h_norms = _norms(ch.h_sat_ris.reshape(-1, bs))
     gc_t = ch.g_ris_user.conj().T
-    one = np.ones(1)
+    direct = ch.h_direct.any()
 
     def image(u):
         # the direct links are one more one-element block, with incident
         # channel 1 and outgoing channels conj(h_d); the image turned by
-        # conj(s), s its exposed phase (1 without direct links), has the
-        # gains of y*(u) = h_d s + g^H v
-        s = _exposed((u @ ch.h_direct.conj())[..., None], one, one, 1)
-        return _exposed(u @ ch.g_ris_user, h_norms, ch.h_sat_ris, bs) * s.conj()
+        # conj(s), s its exposed phase, has the gains of y*(u) = h_d s + g^H v.
+        # Without direct links there is no direct block: the image alone
+        v = _exposed(u @ ch.g_ris_user, h_norms, ch.h_sat_ris, bs)
+        if not direct:
+            return v
+        return v * _exposed((u @ ch.h_direct.conj())[..., None], _ONE, _ONE, 1).conj()
 
     def rate(c):
         return _score(problem, np.abs(ch.h_direct + c) ** 2, ch.noise_mw)[0]

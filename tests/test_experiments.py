@@ -339,6 +339,28 @@ class TestNumericFailures:
         assert result.aggregate_rows[1:] == clean.aggregate_rows[1:]
         assert run_power_sweep(spec, workers=2) == result
 
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_a_nan_channel_is_a_numeric_failure_not_an_outage(self, monkeypatch, direct):
+        # no floors, so no split misses one: a NaN rate is not an outage
+        spec = small_spec(include_direct=direct)
+        clean = run_power_sweep(spec)
+        target = self.draw(spec, 1, 2).h_sat_ris               # 10 dBm, trial 2
+        draw = experiments.draw_realization
+
+        def poisoned(*args, **kwargs):
+            ch = draw(*args, **kwargs)
+            if np.array_equal(ch.h_sat_ris, target):
+                h = ch.h_sat_ris.copy()
+                h[1] = np.nan
+                ch = replace(ch, h_sat_ris=h)
+            return ch
+
+        monkeypatch.setattr(experiments, "draw_realization", poisoned)
+        result = run_power_sweep(spec)
+        assert [row for row in result.detail_rows if (row[0], row[3]) == (10.0, 2)] == [
+            (10.0, 4, "BD_RIS", 2, 0.0, 0.0, 0.0, 2), (10.0, 4, "CD_RIS", 2, 0.0, 0.0, 0.0, 2)]
+        assert self.others(result.detail_rows, 10.0, 2) == self.others(clean.detail_rows, 10.0, 2)
+
     def test_solve_pair_returns_the_failure(self, monkeypatch):
         ch = self.draw(small_spec(), 0, 0)
         self.inject(monkeypatch, "CD_RIS", ch.h_sat_ris,

@@ -11,9 +11,10 @@ from bdris import optimizer
 from bdris.channel import (ChannelRealization, GeometryParams, LinkBudgetParams,
                            draw_realization, effective_channel)
 from bdris.config import SimConfig, geometry_from, link_budget_from
+from bdris.experiments import solve_pair
 from bdris.noma import (NomaAllocation, achievable_rates, min_power_split_for_far_rate,
                         order_users, sic_rates)
-from bdris.optimizer import (InfeasibleAllocationError, ProblemSpec, Solution, bcd_solve,
+from bdris.optimizer import (SCHEMES, InfeasibleAllocationError, ProblemSpec, Solution, bcd_solve,
                              exact_oracle, solve_phase_subproblem, solve_power_subproblem,
                              _exposed, _score, _slope, _surface_from_image)
 from bdris.surfaces import (DimensionError, RisSpec, project_feasible, random_feasible,
@@ -181,6 +182,13 @@ class TestScore:
             assert np.array_equal(slope[row], _slope(problem, gains[row], 1.0, alone_split))
 
 
+# (K, g) for any_spec: every diagonal, fully connected and group-connected
+# surface with K <= 12
+SHAPES = st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
+                         + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
+                            if k % g == 0])
+
+
 def block_specs():
     """Diagonal, full and group-connected surfaces the image step runs on."""
     specs = [RisSpec(k, "single") for k in (1, 3, 12)]
@@ -223,6 +231,7 @@ class TestExposedPoint:
             assert np.array_equal(_exposed(np.zeros(k), block_norms(h, bs), fallback, bs),
                                   fallback)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_leading_axes_are_independent_directions(self):
         rng = np.random.default_rng(13)
         for spec in block_specs():
@@ -244,6 +253,15 @@ class TestExposedPoint:
                     assert np.array_equal(batch[i], _exposed(small[i], block_norms(h, bs), h, bs))
                 assert np.allclose(block_norms(batch[0], bs), block_norms(h, bs),
                                    rtol=1e-14, atol=0.0)
+        # one-element unit blocks, the ascent's phase turn: z = 0 keeps 1, a
+        # subnormal or huge z still gives a unit phase
+        one = np.ones(1)
+        z = np.array([0.0, 5e-324 + 3e-324j, 1e-310j, 1e300 - 1e300j, 1 + 1j])[:, None]
+        batch = _exposed(z, one, one, 1)
+        for i in range(len(z)):
+            assert np.array_equal(batch[i], _exposed(z[i], one, one, 1))
+        assert batch[0, 0] == 1.0
+        assert np.all(np.abs(np.abs(batch) - 1.0) <= np.spacing(1.0))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_scale_of_the_gradient_does_not_matter(self):
@@ -311,47 +329,55 @@ class TestSurfaceFromImage:
             assert np.abs(phi[2 * bs:, 2 * bs:] - eye).max() < 1e-15
 
     def test_diagonal_surface_is_exactly_its_phases(self):
-        # a one-element block has no direction to move: it is z_k =
-        # conj(h_k) v_k/|conj(h_k) v_k| and nothing else, bit for bit
+        # a one-element block has no direction to move: it is the exposed
+        # phase z_k of conj(hp_k) vp_k, hp_k and vp_k the unit phases of h_k
+        # and v_k, and nothing else, bit for bit
         rng = np.random.default_rng(15)
         for k in (1, 3, 80):
             spec = RisSpec(k, "single")
             h = cn(rng, k)
             v = _exposed(cn(rng, k), np.abs(h), h, 1)
             v[-1] = h[-1]
-            c = h.conj() * v
+            units, one = np.ones(k), np.ones(1)
+            hp, vp = _exposed(h, units, h, 1), _exposed(v, units, v, 1)
+            z = _exposed((hp.conj() * vp)[:, None], one, one, 1)[:, 0]
             phi = _surface_from_image(h, v, spec)
-            assert np.array_equal(phi, np.diag(c / np.abs(c)))
+            assert np.array_equal(phi, np.diag(z))
+            c = h.conj() * v
+            assert np.abs(z - c / np.abs(c)).max() <= 4e-16
             assert validate(phi, spec, eps_feas=1e-13).is_feasible
 
+    # at 2^530 the squared block norms overflow, and _exposed rescales
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
-                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
-                              if k % g == 0]),
-           st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 1e-150, 1e150]),
+    @given(SHAPES, st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1.0, 1e-150, 1e150, 2.0 ** -530, 2.0 ** 530]),
            st.sampled_from(["random", "nudge", "phase", "plus", "minus"]), st.booleans())
     def test_property_feasible_with_its_image_and_z_off_the_plane(self, shape, seed, scale,
                                                                   kind, zero_block):
         spec = any_spec(*shape)
         k, bs = spec.num_elements, spec.block_size
         rng = np.random.default_rng(seed)
-        h = scale * cn(rng, k)
+        h = cn(rng, k)
         v = {"random": lambda: feasible_image(cn(rng, k), h, bs),
-             "nudge": lambda: feasible_image(h + 1e-9 * scale * cn(rng, k), h, bs),
+             "nudge": lambda: feasible_image(h + 1e-9 * cn(rng, k), h, bs),
              "phase": lambda: np.exp(2j * np.pi * rng.random()) * h,
              "plus": lambda: h.copy(),
              "minus": lambda: -h}[kind]()
+        h, v = scale * h, scale * v
         if zero_block:
             h[:bs] = v[:bs] = 0.0
         phi = _surface_from_image(h, v, spec)
         assert validate(phi, spec, eps_feas=1e-12).is_feasible
-        assert np.linalg.norm(phi @ h - v) <= 1e-12 * np.linalg.norm(v)
+        # the references work on h/scale and v/scale, whose squares stay in range
+        h1, v1 = h / scale, v / scale
+        assert np.linalg.norm((phi @ h - v) / scale) <= 1e-12 * np.linalg.norm(v1)
         # off span{h_b, v_b} each block acts as its phase z_b (1 where h_b^H v_b = 0)
-        c = np.sum(h.reshape(-1, bs).conj() * v.reshape(-1, bs), axis=1)
+        c = np.sum(h1.reshape(-1, bs).conj() * v1.reshape(-1, bs), axis=1)
         z = np.divide(c, np.abs(c), out=np.ones_like(c), where=np.abs(c) > 0.0)
         for b in range(spec.num_blocks):
             sl = slice(b * bs, (b + 1) * bs)
-            plane = np.linalg.qr(np.column_stack([h[sl], v[sl]]))[0]
+            plane = np.linalg.qr(np.column_stack([h1[sl], v1[sl]]))[0]
             r = cn(rng, bs)
             x = r - plane @ (plane.conj().T @ r)
             assert np.linalg.norm(phi[sl, sl] @ x - z[b] * x) <= 1e-12 * np.linalg.norm(r)
@@ -512,10 +538,7 @@ class TestBcdSolve:
             solve_power_subproblem(ch, np.eye(4), problem)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
-                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
-                              if k % g == 0]),
-           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
+    @given(SHAPES, st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
            st.sampled_from([0.0, 0.3, 0.9]))
     def test_property_floors_met_and_never_below_warm_start(self, shape, seed, direct, reach):
         # the far floor is 0, or a share of the weak user's rate at the warm
@@ -533,10 +556,7 @@ class TestBcdSolve:
         assert solution.rates.rate_far >= floor * (1.0 - 1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
-                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
-                              if k % g == 0]),
-           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]), st.booleans())
+    @given(SHAPES, st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]), st.booleans())
     def test_property_rates_of_the_image_are_those_of_phi(self, shape, seed, direct, floor):
         # a binding far floor: above 1 bit, which no even split reaches,
         # and within reach of the identity start with all the power
@@ -579,10 +599,7 @@ class TestBcdSolve:
             assert solution.rates.sum_rate >= start * (1.0 - 1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([(k, 0) for k in range(1, 13)] + [(k, 1) for k in range(2, 13)]
-                           + [(k, g) for k in range(4, 13) for g in range(2, k // 2 + 1)
-                              if k % g == 0]),
-           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]), st.booleans())
+    @given(SHAPES, st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]), st.booleans())
     def test_property_every_iterate_is_feasible(self, shape, seed, direct, warm):
         # the warm image and every image the ascent steps to keep |v_b| = |h_b|
         spec = any_spec(*shape)
@@ -592,8 +609,10 @@ class TestBcdSolve:
         exposed = optimizer._exposed
 
         def recording(*args):
-            images.append(exposed(*args))
-            return images[-1]
+            out = exposed(*args)
+            if args[1] is not optimizer._ONE:      # the turn's unit phases are not images
+                images.append(out)
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "_exposed", recording)
@@ -606,6 +625,27 @@ class TestBcdSolve:
             v_norms = np.linalg.norm(v.reshape(v.shape[:-1] + (-1, bs)), axis=-1)
             assert np.all(np.abs(v_norms - norms) <= 1e-12 * norms)
         assert validate(solution.phase, spec, eps_feas=1e-12).is_feasible
+
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES, st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]), st.booleans(),
+           st.integers(-480, 480))
+    def test_property_power_of_two_scaling_keeps_every_bit(self, shape, seed, direct, floor, k):
+        # h 2^k and g 2^-k reach the same cascade, and inside _exposed's fast
+        # range every rescaling is by a power of two: the pair's outcomes are
+        # the same, bit for bit (past |k| ~ 500 _exposed rescales by |q_b|)
+        spec = any_spec(*shape)
+        ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct)
+        problem = ProblemSpec(spec, 10.0)
+        if floor:           # met at the identity, so reachable; it may bind
+            far = optimizer._evaluate(ch, ch.h_sat_ris, problem)[1].rate_far
+            problem = replace(problem, min_rate_far=far)
+        scaled = replace(ch, h_sat_ris=ch.h_sat_ris * 2.0 ** k,
+                         g_ris_user=ch.g_ris_user * 2.0 ** -k)
+        pair, pair_scaled = solve_pair(ch, problem), solve_pair(scaled, problem)
+        for scheme in SCHEMES:
+            assert type(pair_scaled[scheme]) is type(pair[scheme])
+            if isinstance(pair[scheme], Solution):
+                assert pair_scaled[scheme].rates == pair[scheme].rates
 
     @pytest.mark.parametrize("floor", [1e-13, 1.6e-13])
     def test_binding_far_floor_reaches_the_oracle_on_the_default_draw(self, floor):
