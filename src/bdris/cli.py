@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("sweep-power", "sweep-elements"):
         p = sub.add_parser(name, help=f"run the {name.split('-')[1]} sweep and write CSVs")
         p.add_argument("--workers", type=int, default=1,
-                       help="process count for sweep points (default 1)")
+                       help="worker processes for the sweep's trials (default 1)")
 
     sub.add_parser("oracle-check", help="check the solver against exact optima and bounds")
     return parser

@@ -1,13 +1,17 @@
 """
 Monte-Carlo sweeps comparing beyond-diagonal and conventional surfaces.
 
-Before any trial runs, a sweep turns its grid into one job per point: the
-point's ProblemSpec and its stream key (the grid index of a power point,
-K itself for an element point), so a grid whose surface cannot exist fails
-before any work. Each job then runs `trials` paired realizations: both
-schemes see the same draw, produced from the dedicated stream
+Before any trial runs, a sweep decodes its grid into points: each point's
+ProblemSpec and its stream key (the grid index of a power point, K itself
+for an element point), so a grid whose surface cannot exist fails before
+any work. A point runs `trials` paired realizations: both schemes see the
+same draw, produced from the dedicated stream
 default_rng([base_seed, stream_key, trial]), so results are reproducible
-run-to-run and independent of how the points are distributed over workers.
+run-to-run and independent of how trials are distributed over workers.
+With more than one worker, the sweep's paired trials are cut into
+contiguous slices of near-equal length, one per process. Each worker first
+moves onto its own CPU of the caller's affinity set (and keeps that set),
+and the pool forks after numpy.random is loaded, so no worker imports it.
 Every trial is one solve_pair: the beyond-diagonal solve is warm-started
 from the converged conventional surface's image v = Phi h, which makes its
 sum rate dominate the baseline trial by trial. A scheme that fails writes
@@ -173,14 +177,15 @@ def _sweep_points(spec: SweepSpec, kind: str) -> list:
     return points
 
 
-def _run_point(spec: SweepSpec, problem: ProblemSpec, stream_key: int) -> list:
-    """The rows of one sweep point: each trial draws from
-    default_rng([base_seed, stream_key, trial]) and solves one pair, and
-    each scheme writes one row with its outage code: 0 solved, 1
-    infeasible, 2 numeric failure (rates 0 unless solved)."""
-    power_dbm, k = problem.power_dbm, problem.ris_spec.num_elements
+def _run_trials(spec: SweepSpec, units) -> list:
+    """The rows of a run of paired trials, in order: each unit (problem,
+    stream_key, trial) draws from default_rng([base_seed, stream_key,
+    trial]) and solves one pair, and each scheme writes one row with its
+    outage code: 0 solved, 1 infeasible, 2 numeric failure (rates 0 unless
+    solved)."""
     rows = []
-    for trial in range(spec.trials):
+    for problem, stream_key, trial in units:
+        power_dbm, k = problem.power_dbm, problem.ris_spec.num_elements
         rng = np.random.default_rng([spec.base_seed, stream_key, trial])
         ch = draw_realization(spec.geometry, spec.link_budget, k, num_users=2,
                               include_direct=spec.include_direct, rng=rng)
@@ -195,6 +200,17 @@ def _run_point(spec: SweepSpec, problem: ProblemSpec, stream_key: int) -> list:
                 code = 1 if isinstance(outcome, InfeasibleAllocationError) else 2
                 rows.append((power_dbm, k, scheme, trial, 0.0, 0.0, 0.0, code))
     return rows
+
+
+def _run_slice(spec: SweepSpec, units, cpu) -> list:
+    """A pool worker's slice: move this process onto `cpu` (None: leave it
+    where it is), then give it back the affinity set it had, so a host that
+    balances may still move it; then _run_trials."""
+    if cpu is not None:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, mask)
+    return _run_trials(spec, units)
 
 
 def _aggregate_point(point_rows) -> list:
@@ -214,20 +230,29 @@ def _aggregate_point(point_rows) -> list:
 
 
 def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
-    jobs = [(spec, problem, key) for problem, key in _sweep_points(spec, kind)]
-    processes = min(workers, len(jobs))    # a process beyond one per point has no job
+    units = [(problem, key, trial) for problem, key in _sweep_points(spec, kind)
+             for trial in range(spec.trials)]
+    processes = min(workers, len(units))   # a process beyond one per trial has no job
     if processes > 1:
-        # starmap preserves job order, so the row set is identical for any
-        # worker count; the final sort fixes the layout either way
+        # contiguous slices whose lengths differ by at most one; starmap keeps
+        # their order, so the rows are those of a serial run
         import multiprocessing
+        import numpy.random  # noqa: F401 -- loaded once here, not in every forked worker
 
+        bounds = [len(units) * i // processes for i in range(processes + 1)]
+        # Linux only; elsewhere every worker runs unplaced (cpu None)
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
+        jobs = [(spec, units[bounds[i]:bounds[i + 1]], cpus[i % len(cpus)])
+                for i in range(processes)]
         with multiprocessing.Pool(processes=processes) as pool:
-            per_point = pool.starmap(_run_point, jobs)
+            rows = [row for part in pool.starmap(_run_slice, jobs, chunksize=1)
+                    for row in part]
     else:
-        per_point = [_run_point(*job) for job in jobs]
-    detail = sorted((row for rows in per_point for row in rows),
-                    key=lambda r: (r[0], r[1], r[2], r[3]))
-    aggregate = sorted((row for rows in per_point for row in _aggregate_point(rows)),
+        rows = _run_trials(spec, units)
+    size = spec.trials * len(spec.schemes)
+    per_point = [rows[i:i + size] for i in range(0, len(rows), size)]
+    detail = sorted(rows, key=lambda r: (r[0], r[1], r[2], r[3]))
+    aggregate = sorted((row for point in per_point for row in _aggregate_point(point)),
                        key=lambda r: (r[0], r[1], r[2]))
     return SweepResult(kind, tuple(detail), tuple(aggregate))
 

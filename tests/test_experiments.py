@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import multiprocessing
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,6 +34,31 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """multiprocessing.Pool replaced by one that runs its jobs in this
+    process; returns the list of (processes, jobs), one entry per pool."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            self.jobs = []
+            pools.append((processes, self.jobs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs, chunksize=None):
+            self.jobs.extend(jobs)
+            return [fn(*job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return pools
 
 
 class TestSweepSpec:
@@ -83,43 +109,61 @@ class TestRunSweeps:
         # a shuffled grid that repeats a K, over more processes than distinct K
         spec = small_spec(element_counts=(8, 2, 8), trials=2)
         assert run_element_sweep(spec, workers=1) == run_element_sweep(spec, workers=3)
+        # more processes than points: slices cut points
+        spec = small_spec(power_points_dbm=(0.0, 5.0, 10.0, 15.0, 20.0))
+        assert run_power_sweep(spec, workers=1) == run_power_sweep(spec, workers=8)
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 10.0, 20.0]), min_size=2, max_size=3),
            st.lists(st.sampled_from([1, 2, 4, 8]), min_size=2, max_size=3),
-           st.sampled_from(["single", "full"]), st.integers(1, 2),
+           st.sampled_from(["single", "full"]), st.integers(1, 3), st.integers(2, 5),
            st.integers(0, 2 ** 32 - 1), st.booleans())
     def test_property_rows_do_not_depend_on_the_worker_count(self, powers, counts, arch,
-                                                             trials, seed, direct):
-        # two or more points, so two workers start a pool; K may repeat
+                                                             trials, workers, seed, direct):
+        # slice boundaries fall inside points, also at a repeated K
         spec = small_spec(ris_spec=RisSpec(4, arch), power_points_dbm=tuple(powers),
                           element_counts=tuple(counts), trials=trials, base_seed=seed,
                           include_direct=direct)
-        assert run_power_sweep(spec, workers=1) == run_power_sweep(spec, workers=2)
-        assert run_element_sweep(spec, workers=1) == run_element_sweep(spec, workers=2)
+        assert run_power_sweep(spec, workers=1) == run_power_sweep(spec, workers=workers)
+        assert run_element_sweep(spec, workers=1) == run_element_sweep(spec, workers=workers)
 
-    def test_pool_has_at_most_one_process_per_point(self, monkeypatch):
-        started = []
+    def test_pool_has_at_most_one_process_per_paired_trial(self, in_process_pool):
+        two_trials = small_spec(trials=1)
+        assert run_power_sweep(two_trials, workers=64) == run_power_sweep(two_trials)
+        one_trial = small_spec(trials=1, power_points_dbm=(10.0,))
+        assert run_power_sweep(one_trial, workers=8) == run_power_sweep(one_trial)
+        assert [processes for processes, _ in in_process_pool] == [2]   # no pool for one trial
 
-        class SerialPool:
-            def __init__(self, processes):
-                started.append(processes)
+    def test_slices_are_contiguous_and_balanced(self, in_process_pool):
+        spec = small_spec(element_counts=(8, 2, 8), trials=3)
+        assert run_element_sweep(spec, workers=4) == run_element_sweep(spec)
+        (processes, jobs), = in_process_pool
+        slices = [units for _, units, _ in jobs]
+        assert processes == len(slices) == 4
+        # every unit once, in grid order, so a slice may end inside a point
+        assert [unit for units in slices for unit in units] == [
+            (problem, key, trial) for problem, key in experiments._sweep_points(spec, "elements")
+            for trial in range(spec.trials)]
+        assert {len(units) for units in slices} == {2, 3}
 
-            def __enter__(self):
-                return self
+    @pytest.mark.parametrize("workers, cpus", [(2, [3, 5]), (3, [3, 5, 3]), (5, [3, 5, 3, 5, 3])])
+    def test_worker_i_moves_to_cpu_i_and_keeps_its_mask(self, in_process_pool, monkeypatch,
+                                                        workers, cpus):
+        moves = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 3}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: moves.append((pid, mask)),
+                            raising=False)
+        spec = small_spec(trials=3)
+        assert run_power_sweep(spec, workers=workers) == run_power_sweep(spec)
+        assert [cpu for *_, cpu in in_process_pool[0][1]] == cpus
+        # each move is undone at once: the process is placed, not pinned
+        assert moves == [move for cpu in cpus for move in ((0, {cpu}), (0, {3, 5}))]
 
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, jobs):
-                return [fn(*job) for job in jobs]
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        two_points = small_spec(trials=1)
-        assert run_power_sweep(two_points, workers=64) == run_power_sweep(two_points)
-        one_point = small_spec(trials=1, power_points_dbm=(10.0,))
-        assert run_power_sweep(one_point, workers=8) == run_power_sweep(one_point)
-        assert started == [2]             # the one-point sweep ran without a pool
+    def test_workers_run_unplaced_without_sched_setaffinity(self, in_process_pool, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        spec = small_spec(trials=3)
+        assert run_power_sweep(spec, workers=2) == run_power_sweep(spec)
+        assert [cpu for *_, cpu in in_process_pool[0][1]] == [None, None]
 
     def test_element_grid_is_checked_before_any_trial(self, monkeypatch):
         # K=8 has a surface at G=4, K=10 has none: no point may run first
