@@ -8,10 +8,12 @@ any work. A point runs `trials` paired realizations: both schemes see the
 same draw, produced from the dedicated stream
 default_rng([base_seed, stream_key, trial]), so results are reproducible
 run-to-run and independent of how trials are distributed over workers.
-With more than one worker, the sweep's paired trials are cut into
-contiguous slices of near-equal length, one per process. Each worker first
-moves onto its own CPU of the caller's affinity set (and keeps that set),
-and the pool forks after numpy.random is loaded, so no worker imports it.
+With N > 1 workers, the sweep's paired trials are cut into N contiguous
+slices of near-equal length, and N processes run them: the caller runs the
+first slice itself, and each other slice runs in one child process that
+sends its rows back over a pipe. Each process first moves onto its own CPU
+of the caller's affinity set (and keeps that set); on Linux the children
+fork after numpy.random is loaded, so no child imports it.
 Every trial is one solve_pair: the beyond-diagonal solve is warm-started
 from the converged conventional surface's image v = Phi h, which makes its
 sum rate dominate the baseline trial by trial. A scheme that fails writes
@@ -202,15 +204,26 @@ def _run_trials(spec: SweepSpec, units) -> list:
     return rows
 
 
-def _run_slice(spec: SweepSpec, units, cpu) -> list:
-    """A pool worker's slice: move this process onto `cpu` (None: leave it
-    where it is), then give it back the affinity set it had, so a host that
-    balances may still move it; then _run_trials."""
+def _place(cpu) -> None:
+    """Move this process onto `cpu` (None: leave it where it is), then give
+    it back the affinity set it had, so a host that balances may still move
+    it."""
     if cpu is not None:
         mask = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {cpu})
         os.sched_setaffinity(0, mask)
-    return _run_trials(spec, units)
+
+
+def _run_slice(spec: SweepSpec, units, cpu, conn) -> None:
+    """A child process's slice: _place it on `cpu`, run _run_trials, and
+    send (True, rows) or (False, the exception it raised) over `conn`."""
+    try:
+        _place(cpu)
+        outcome = (True, _run_trials(spec, units))
+    except Exception as exc:
+        outcome = (False, exc)
+    conn.send(outcome)
+    conn.close()
 
 
 def _aggregate_point(point_rows) -> list:
@@ -229,32 +242,69 @@ def _aggregate_point(point_rows) -> list:
     return agg
 
 
-def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
-    units = [(problem, key, trial) for problem, key in _sweep_points(spec, kind)
-             for trial in range(spec.trials)]
-    processes = min(workers, len(units))   # a process beyond one per trial has no job
-    if processes > 1:
-        # contiguous slices whose lengths differ by at most one; starmap keeps
-        # their order, so the rows are those of a serial run
-        import multiprocessing
-        import numpy.random  # noqa: F401 -- loaded once here, not in every forked worker
-
-        bounds = [len(units) * i // processes for i in range(processes + 1)]
-        # Linux only; elsewhere every worker runs unplaced (cpu None)
-        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
-        jobs = [(spec, units[bounds[i]:bounds[i + 1]], cpus[i % len(cpus)])
-                for i in range(processes)]
-        with multiprocessing.Pool(processes=processes) as pool:
-            rows = [row for part in pool.starmap(_run_slice, jobs, chunksize=1)
-                    for row in part]
-    else:
-        rows = _run_trials(spec, units)
+def _sweep_result(spec: SweepSpec, kind: str, rows) -> SweepResult:
+    """A sweep's result from its rows in grid order: the detail rows
+    sorted, and the aggregate of each point's trials × schemes rows."""
     size = spec.trials * len(spec.schemes)
     per_point = [rows[i:i + size] for i in range(0, len(rows), size)]
     detail = sorted(rows, key=lambda r: (r[0], r[1], r[2], r[3]))
     aggregate = sorted((row for point in per_point for row in _aggregate_point(point)),
                        key=lambda r: (r[0], r[1], r[2]))
     return SweepResult(kind, tuple(detail), tuple(aggregate))
+
+
+def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
+    units = [(problem, key, trial) for problem, key in _sweep_points(spec, kind)
+             for trial in range(spec.trials)]
+    processes = min(workers, len(units))   # a process beyond one per trial has no job
+    if processes == 1:
+        return _sweep_result(spec, kind, _run_trials(spec, units))
+    # contiguous slices whose lengths differ by at most one: the caller runs
+    # the first, a child each other; joined in order, the rows are those of
+    # a serial run
+    import multiprocessing
+    import numpy.random  # noqa: F401 -- loaded once here, not in every forked child
+
+    bounds = [len(units) * i // processes for i in range(processes + 1)]
+    slices = [units[bounds[i]:bounds[i + 1]] for i in range(processes)]
+    # Linux only: children fork (not forkserver, Python 3.14's default), so
+    # they start with bdris and numpy.random loaded; elsewhere every process
+    # runs unplaced (cpu None) and children start the platform's default way
+    if hasattr(os, "sched_setaffinity"):
+        cpus, ctx = sorted(os.sched_getaffinity(0)), multiprocessing.get_context("fork")
+    else:
+        cpus, ctx = [None], multiprocessing.get_context()
+    children = []
+    try:
+        for i in range(1, processes):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_slice,
+                                args=(spec, slices[i], cpus[i % len(cpus)], send))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        _place(cpus[0])
+        rows = _run_trials(spec, slices[0])
+        # a child blocks in send until its rows are read, so recv before join
+        for child, recv in children:
+            try:
+                ok, payload = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"sweep child process exited with code "
+                                   f"{child.exitcode} before sending its rows") from None
+            if not ok:
+                raise payload
+            rows.extend(payload)
+        return _sweep_result(spec, kind, rows)   # built while the children exit
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
 
 
 def run_power_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:

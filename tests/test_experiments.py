@@ -5,7 +5,10 @@ import hashlib
 import io
 import multiprocessing
 import os
+import signal
+import time
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,28 +40,41 @@ def small_spec(**overrides):
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    """multiprocessing.Pool replaced by one that runs its jobs in this
-    process; returns the list of (processes, jobs), one entry per pool."""
-    pools = []
+def in_process_children(monkeypatch):
+    """The sweep's process context replaced by one whose Process runs its
+    target in this process when started, over a real pipe. Returns (runs,
+    children): the ('caller' or 'child', units) of every _run_trials call
+    in call order, and the args of every child process."""
+    runs, children, inside = [], [], []
 
-    class InProcessPool:
-        def __init__(self, processes):
-            self.jobs = []
-            pools.append((processes, self.jobs))
+    class InProcessChild:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+            children.append(args)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            inside.append(self)
+            try:
+                self.target(*self.args)
+            finally:
+                inside.pop()
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def starmap(self, fn, jobs, chunksize=None):
-            self.jobs.extend(jobs)
-            return [fn(*job) for job in jobs]
+        def terminate(self):
+            pass
 
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    return pools
+    context = SimpleNamespace(Process=InProcessChild, Pipe=multiprocessing.Pipe)
+    run_trials = experiments._run_trials
+
+    def recording(spec, units):
+        runs.append(("child" if inside else "caller", units))
+        return run_trials(spec, units)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+    monkeypatch.setattr(experiments, "_run_trials", recording)
+    return runs, children
 
 
 class TestSweepSpec:
@@ -127,19 +143,33 @@ class TestRunSweeps:
         assert run_power_sweep(spec, workers=1) == run_power_sweep(spec, workers=workers)
         assert run_element_sweep(spec, workers=1) == run_element_sweep(spec, workers=workers)
 
-    def test_pool_has_at_most_one_process_per_paired_trial(self, in_process_pool):
+    def test_caller_runs_slice_0_and_a_child_runs_each_other(self, in_process_children):
+        runs, children = in_process_children
+        spec = small_spec(trials=3)
+        assert run_power_sweep(spec, workers=3) == run_power_sweep(spec)
+        pooled, serial = runs[:3], runs[3:]
+        # the children start first, then the caller runs its own slice
+        assert [who for who, _ in pooled] == ["child", "child", "caller"]
+        assert [units for _, units, _, _ in children] == [pooled[0][1], pooled[1][1]]
+        assert pooled[2][1] + pooled[0][1] + pooled[1][1] == serial[0][1]
+
+    def test_at_most_one_process_per_paired_trial(self, in_process_children):
+        runs, children = in_process_children
         two_trials = small_spec(trials=1)
         assert run_power_sweep(two_trials, workers=64) == run_power_sweep(two_trials)
+        assert len(children) == 1
         one_trial = small_spec(trials=1, power_points_dbm=(10.0,))
         assert run_power_sweep(one_trial, workers=8) == run_power_sweep(one_trial)
-        assert [processes for processes, _ in in_process_pool] == [2]   # no pool for one trial
+        assert len(children) == 1                  # no child for a single trial
+        assert [who for who, _ in runs[-2:]] == ["caller", "caller"]
 
-    def test_slices_are_contiguous_and_balanced(self, in_process_pool):
+    def test_slices_are_contiguous_and_balanced(self, in_process_children):
+        runs, children = in_process_children
         spec = small_spec(element_counts=(8, 2, 8), trials=3)
         assert run_element_sweep(spec, workers=4) == run_element_sweep(spec)
-        (processes, jobs), = in_process_pool
-        slices = [units for _, units, _ in jobs]
-        assert processes == len(slices) == 4
+        assert len(children) == 3
+        caller = [units for who, units in runs[:4] if who == "caller"]
+        slices = caller + [units for _, units, _, _ in children]
         # every unit once, in grid order, so a slice may end inside a point
         assert [unit for units in slices for unit in units] == [
             (problem, key, trial) for problem, key in experiments._sweep_points(spec, "elements")
@@ -147,23 +177,27 @@ class TestRunSweeps:
         assert {len(units) for units in slices} == {2, 3}
 
     @pytest.mark.parametrize("workers, cpus", [(2, [3, 5]), (3, [3, 5, 3]), (5, [3, 5, 3, 5, 3])])
-    def test_worker_i_moves_to_cpu_i_and_keeps_its_mask(self, in_process_pool, monkeypatch,
-                                                        workers, cpus):
+    def test_process_i_moves_to_cpu_i_and_keeps_its_mask(self, in_process_children, monkeypatch,
+                                                         workers, cpus):
+        _, children = in_process_children
         moves = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 3}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: moves.append((pid, mask)),
                             raising=False)
         spec = small_spec(trials=3)
         assert run_power_sweep(spec, workers=workers) == run_power_sweep(spec)
-        assert [cpu for *_, cpu in in_process_pool[0][1]] == cpus
-        # each move is undone at once: the process is placed, not pinned
-        assert moves == [move for cpu in cpus for move in ((0, {cpu}), (0, {3, 5}))]
+        assert [cpu for *_, cpu, _ in children] == cpus[1:]
+        # the children move as they start, then the caller; each move is
+        # undone at once: a process is placed, not pinned
+        assert moves == [move for cpu in cpus[1:] + cpus[:1] for move in ((0, {cpu}), (0, {3, 5}))]
 
-    def test_workers_run_unplaced_without_sched_setaffinity(self, in_process_pool, monkeypatch):
+    def test_processes_run_unplaced_without_sched_setaffinity(self, in_process_children,
+                                                              monkeypatch):
+        _, children = in_process_children
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         spec = small_spec(trials=3)
         assert run_power_sweep(spec, workers=2) == run_power_sweep(spec)
-        assert [cpu for *_, cpu in in_process_pool[0][1]] == [None, None]
+        assert [cpu for *_, cpu, _ in children] == [None]
 
     def test_element_grid_is_checked_before_any_trial(self, monkeypatch):
         # K=8 has a surface at G=4, K=10 has none: no point may run first
@@ -206,6 +240,95 @@ class TestRunSweeps:
             assert mean == pytest.approx(np.mean(rates), rel=1e-12)
             assert std == pytest.approx(np.std(rates, ddof=1), rel=1e-12)
 
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="children fork on Linux only")
+class TestSweepProcesses:
+    """A pooled sweep with real child processes, which inherit this test's
+    monkeypatches when they fork: a child's error reaches the caller, a
+    child that dies is an error rather than a hang, an error in the
+    caller's own slice ends the children, and no process outlives the
+    sweep."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A sweep that hangs fails its test after 30 s."""
+        def expire(signum, frame):
+            raise TimeoutError("pooled sweep still running after 30 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every child process a sweep starts, kept to read its exit code."""
+        procs, start = [], multiprocessing.process.BaseProcess.start
+
+        def recording(proc):
+            procs.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+        return procs
+
+    @staticmethod
+    def route(monkeypatch, in_caller=None, in_child=None):
+        """Solve with in_caller in this process and in_child in the others
+        (None: the real bcd_solve)."""
+        caller, solve = os.getpid(), experiments.bcd_solve
+
+        def routed(ch, problem, warm_image=None):
+            act = in_caller if os.getpid() == caller else in_child
+            return (act or solve)(ch, problem, warm_image=warm_image)
+
+        monkeypatch.setattr(experiments, "bcd_solve", routed)
+
+    @staticmethod
+    def raising(message):
+        def broken(ch, problem, warm_image=None):
+            raise TypeError(message)
+        return broken
+
+    def test_a_child_error_reaches_the_caller(self, monkeypatch, started):
+        self.route(monkeypatch, in_child=self.raising("in a child"))
+        with pytest.raises(TypeError, match="in a child"):
+            run_power_sweep(small_spec(), workers=2)
+        assert [proc.exitcode for proc in started] == [0]
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_is_an_error_not_a_hang(self, monkeypatch, started):
+        self.route(monkeypatch, in_child=lambda *args, **kwargs: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3 before sending its rows"):
+            run_power_sweep(small_spec(), workers=2)
+        assert [proc.exitcode for proc in started] == [3]
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_the_callers_slice_terminates_the_children(self, monkeypatch, started):
+        self.route(monkeypatch, in_caller=self.raising("in the caller"),
+                   in_child=lambda *args, **kwargs: time.sleep(60))
+        with pytest.raises(TypeError, match="in the caller"):
+            run_power_sweep(small_spec(), workers=3)
+        assert [proc.exitcode for proc in started] == [-signal.SIGTERM] * 2
+        assert multiprocessing.active_children() == []
+
+
+    def test_rows_larger_than_a_pipe_buffer_come_back(self, monkeypatch, started):
+        # a child blocks in send until its rows are read, so the caller
+        # reads them before it joins the child
+        caller, run_trials = os.getpid(), experiments._run_trials
+        many = [(10.0, 4, scheme, trial, 1.0, 1.0, 2.0, 0)
+                for trial in range(2000) for scheme in SCHEMES]
+
+        def padded(spec, units):
+            return run_trials(spec, units) if os.getpid() == caller else many
+
+        monkeypatch.setattr(experiments, "_run_trials", padded)
+        result = run_power_sweep(small_spec(), workers=2)
+        assert len(result.detail_rows) == 3 * 2 + len(many)
+        assert [proc.exitcode for proc in started] == [0]
+        assert multiprocessing.active_children() == []
 
 class TestEmitCsv:
     def test_headers_and_roundtrip(self, tmp_path):
@@ -464,29 +587,34 @@ class TestPinnedSweepBytes:
     """The sweep CSVs of two small sweeps, byte for byte. A solver change
     that moves a rate in its printed digits moves a hash: update it only
     with the moved cells and their cause on record. The bytes follow the
-    floating-point rounding of the numpy and BLAS build that runs them."""
+    floating-point rounding of the numpy and BLAS build that runs them,
+    and not on the worker count."""
 
-    def test_power_sweep_full_k8(self, tmp_path):
+    @pytest.fixture(params=[1, 2])
+    def workers(self, request):
+        return request.param
+
+    def test_power_sweep_full_k8(self, tmp_path, workers):
         spec = small_spec(ris_spec=RisSpec(8, "full"), trials=3)
-        paths = emit_csv(run_power_sweep(spec), str(tmp_path / "power.csv"))
+        paths = emit_csv(run_power_sweep(spec, workers), str(tmp_path / "power.csv"))
         assert [_sha256(p) for p in paths] == [
             "af72f01ce135afa922a9cef83b976e6ea4a5573e76ab5d24eec65ee456afee43",
             "8a04cf7fef5fb84fb700af3a7d2591d2842673ea6a70ac45937c1529baf1437a"]
 
-    def test_element_sweep_g2_with_direct_links(self, tmp_path):
+    def test_element_sweep_g2_with_direct_links(self, tmp_path, workers):
         spec = small_spec(ris_spec=RisSpec(4, "group", group_count=2), element_counts=(4, 8),
                           include_direct=True, trials=3)
-        paths = emit_csv(run_element_sweep(spec), str(tmp_path / "elements.csv"))
+        paths = emit_csv(run_element_sweep(spec, workers), str(tmp_path / "elements.csv"))
         assert [_sha256(p) for p in paths] == [
             "e0c0ec80bf288a9d13b37bce0190d69af55efc29ddd8138cd7269f95ffe2f8c6",
             "ecac92ab3fdf798a808185c22b9dde1db9fc2ec502e68e914b529472dbdd1e34"]
 
-    def test_power_sweep_full_k4_with_a_far_floor(self, tmp_path):
+    def test_power_sweep_full_k4_with_a_far_floor(self, tmp_path, workers):
         # the floor branches of the score and slope: all of 0 dBm is outage,
         # and at 10 dBm trial 0 splits at alpha_far = 0.5 while the far floor
         # binds on trials 1 and 2 (CD at 0.741 and 0.568, BD at 0.662 and 0.563)
         spec = small_spec(ris_spec=RisSpec(4, "full"), trials=3, min_rate_far=2.5e-17)
-        paths = emit_csv(run_power_sweep(spec), str(tmp_path / "power.csv"))
+        paths = emit_csv(run_power_sweep(spec, workers), str(tmp_path / "power.csv"))
         assert [_sha256(p) for p in paths] == [
             "7ee81dfe2b8aeebddf39238d085ff376ce8d3b671e40869b3a2e461f6a14110f",
             "6806f6d12780fbfc58d7cc53aa01092377eb831e34ea39304a4cf73d95e0aedf"]
