@@ -110,9 +110,9 @@ _BAND = (1.0 - 1e-8, 1.0 + 1e-10)
 def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_dbm: float,
                  base_seed: int) -> dict:
     """Solver quality against exact references, {arm name: ratios}: 50 K=2
-    diagonal bcd_solve draws and 8 K=80 draws (the CD solution, and the
-    fully connected and G=16 ones warm-started from it as in solve_pair)
-    against exact_oracle, and 50 single-user K=8 fully connected phase
+    diagonal bcd_solve draws and 8 K=80 draws (solve_pair's CD solution,
+    and its fully connected and G=16 ones, warm-started from it) against
+    exact_oracle, and 50 single-user K=8 fully connected phase
     solves against the coherent gain bound |h_d| + |g| |h|. Odd draws have
     direct links; draw i comes from default_rng([base_seed, key, i]) with
     key 301, 303 and 302 per part."""
@@ -122,20 +122,23 @@ def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_
                                 rng=np.random.default_rng([base_seed, key, i]))
 
     def ratio(solution, ch, problem):
+        if not isinstance(solution, Solution):
+            raise solution          # the solver's outage or numeric failure
         return solution.rates.sum_rate / exact_oracle(ch, problem).rates.sum_rate
 
-    diag2, cd80 = (ProblemSpec(RisSpec(k, "single"), power_dbm) for k in (2, 80))
+    diag2 = ProblemSpec(RisSpec(2, "single"), power_dbm)
     arms = {"K=2 diagonal": [ratio(bcd_solve(ch, diag2), ch, diag2)
                              for ch in (draw(2, 2, 301, i) for i in range(50))],
             "K=80 CD": [], "K=80 full": [], "K=80 G=16": [], "single-user gain bound": []}
     for i in range(8):
         ch = draw(80, 2, 303, i)
-        cd = bcd_solve(ch, cd80)
-        arms["K=80 CD"].append(ratio(cd, ch, cd80))
         for name, spec in (("full", RisSpec(80, "full")),
                            ("G=16", RisSpec(80, "group", group_count=16))):
             bd = ProblemSpec(spec, power_dbm)
-            arms[f"K=80 {name}"].append(ratio(bcd_solve(ch, bd, cd.image), ch, bd))
+            pair = solve_pair(ch, bd)         # the pairing a sweep runs
+            arms[f"K=80 {name}"].append(ratio(pair["BD_RIS"], ch, bd))
+        # both pairs solve the same diagonal CD problem
+        arms["K=80 CD"].append(ratio(pair["CD_RIS"], ch, replace(bd, scheme="CD_RIS")))
     full8 = ProblemSpec(RisSpec(8, "full"), power_dbm)
     for ch in (draw(8, 1, 302, i) for i in range(50)):
         image = solve_phase_subproblem(ch, full8)[0]
@@ -254,6 +257,8 @@ def _sweep_result(spec: SweepSpec, kind: str, rows) -> SweepResult:
 
 
 def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     units = [(problem, key, trial) for problem, key in _sweep_points(spec, kind)
              for trial in range(spec.trials)]
     processes = min(workers, len(units))   # a process beyond one per trial has no job
@@ -294,6 +299,7 @@ def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
                 raise RuntimeError(f"sweep child process exited with code "
                                    f"{child.exitcode} before sending its rows") from None
             if not ok:
+                child.join()        # it has sent its error and exits on its own
                 raise payload
             rows.extend(payload)
         return _sweep_result(spec, kind, rows)   # built while the children exit
@@ -308,12 +314,14 @@ def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
 
 
 def run_power_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Sum rate versus transmit power at a fixed element count."""
+    """Sum rate versus transmit power at a fixed element count, on `workers`
+    processes (ValueError below 1)."""
     return _run_sweep(spec, "power", workers)
 
 
 def run_element_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Sum rate versus element count at a fixed transmit power."""
+    """Sum rate versus element count at a fixed transmit power, on
+    `workers` processes (ValueError below 1)."""
     return _run_sweep(spec, "elements", workers)
 
 

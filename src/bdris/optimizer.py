@@ -23,18 +23,15 @@ that takes z h_b to v_b, times z, which is how Phi_b acts off that plane.
   where no split meets the minimum rates, which lies below every feasible
   image and rises toward the feasible set.
 - Phase ascent (solve_phase_subproblem): one ascent over directions u in C^2.
-  Each step moves to the exposed point v_b = |h_b| q_b/|q_b| of
-  q = u_1 g_1 + u_2 g_2 with u = w e, where e are the effective channels and
-  w the derivative of the score in the two gains |e_u|^2. Since
-  d score = 2 Re<q, dv>, the exposed point is the feasible image that
-  maximizes the score's linearization, and the global phase that maximizes
-  it follows, the exposed point of a one-element block (all feasible sets
-  are closed under scalar phase rotation; the phase matters only with direct
-  links). w is a total derivative: where the far user's floor binds,
-  alpha_far* falls as the weak gain grows and frees power for the near user,
-  which the rate gradient at a fixed split (noma.sic_rate_gradient) does not
-  see. So the power split moves inside
-  every step, and no outer loop re-splits it. A step is kept only if it
+  Each step moves to the oracle's support point y*(u) (below) at u = w e,
+  through the same map (_image), where e are the effective channels and w
+  the derivative of the score in the two gains |e_u|^2. Since
+  d score = 2 Re<u, dy>, y*(u) maximizes the score's linearization jointly
+  over the image and the direct block's phase. w is a total derivative:
+  where the far user's floor binds, alpha_far* falls as the weak gain grows
+  and frees power for the near user, which the rate gradient at a fixed
+  split (noma.sic_rate_gradient) does not see. So the power split moves
+  inside every step, and no outer loop re-splits it. A step is kept only if it
   raises the score by more than 1e-12 relative. A step runs the shortfall,
   binding-floor, masked-divide (q_b = 0, |q_b| out of range) and
   stopped-row branches only when some row reaches them; a branch it skips
@@ -53,9 +50,10 @@ either |y_u| grows, so its maximum over the hull lies on the boundary, where
 every point is a support point: for some unit u in C^2 it is y*(u) =
 h_d s(u) + sum_b |h_b| M_b M_b^H u/|M_b^H u|, s(u) = h_d^H u/|h_d^H u|, the
 channels of the feasible image v_b = |h_b| q_b/|q_b|, q = u_1 g_1 + u_2 g_2
-(the exposed point), and of the direct block's exposed phase. The best
-y*(u) over u is therefore the global optimum, for every block size (Nerini,
-Shen & Clerckx, IEEE TWC 2024, give the fully connected closed form). Since
+(the exposed point), and of the direct block's exposed phase: _image maps u
+to that image, turned by conj(s(u)). The best y*(u) over u is therefore the
+global optimum, for every block size (Nerini, Shen & Clerckx, IEEE TWC
+2024, give the fully connected closed form). Since
 y*(e^{ja} u) = e^{ja} y*(u), unit u up to phase, (cos t, e^{jp} sin t),
 suffices, with or without direct links. Only a rank-deficient block (bs = 1,
 or the direct block) can have M_b^H u = 0, which makes the support set a
@@ -189,6 +187,19 @@ def _exposed(q: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
                     fallback.reshape(fallback.shape[:-1] + (-1, bs))).reshape(q.shape)
 
 
+def _image(u: np.ndarray, g: np.ndarray, h_norms: np.ndarray, fallback: np.ndarray,
+           bs: int, hd_conj: np.ndarray | None) -> np.ndarray:
+    """The feasible image of each direction u (..., 2): the exposed point v of
+    u @ g (a block with q_b = 0 keeps its fallback) and, with direct links
+    (hd_conj = conj(h_d), None without), v turned by conj(s), s the exposed
+    phase of u @ conj(h_d), the direct block's exposed point. Its channels
+    h_d + g^H v conj(s) have the gains of y*(u) (module docstring)."""
+    v = _exposed(u @ g, h_norms, fallback, bs)
+    if hd_conj is None:
+        return v
+    return v * _exposed((u @ hd_conj)[..., None], _ONE, _ONE, 1).conj()
+
+
 def _surface_from_image(h: np.ndarray, v: np.ndarray, spec: RisSpec) -> np.ndarray:
     """The feasible Phi with the per-block rotation of the module docstring,
     so Phi h = v for every image with |v_b| = |h_b|. Its unit blocks h_b/|h_b|,
@@ -319,17 +330,10 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     history = [f]
     steps = np.zeros(len(v), dtype=int)
     active = np.ones(len(v), dtype=bool)
-    direct = hd.any()
+    hd_conj = hd.conj() if hd.any() else None
     for _ in range(_PHASE_STEPS):
-        cand = _exposed((w * e) @ g, h_norms, v, bs)
-        c = cand @ gc_t
-        if direct:
-            # the global phase that maximizes the linearized score: the exposed
-            # point of the one-element block conj(z), z = sum w conj(h_d) c, and
-            # 1 where z = 0 (without direct links every phase scores alike)
-            turn = _exposed((w * hd * c.conj()).sum(axis=1)[:, None], _ONE, _ONE, 1)
-            cand, c = turn * cand, turn * c
-        e_cand = hd + c
+        cand = _image(w * e, g, h_norms, v, bs, hd_conj)
+        e_cand = hd + cand @ gc_t
         gains = np.abs(e_cand) ** 2
         f_cand, split = _score(problem, gains, noise)
         active &= f_cand > f + _IMPROVE_MARGIN * np.abs(f)
@@ -481,26 +485,18 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     bs = spec.block_size
     h_norms = _norms(ch.h_sat_ris.reshape(-1, bs))
     gc_t = ch.g_ris_user.conj().T
-    direct = ch.h_direct.any()
+    fixed = (ch.g_ris_user, h_norms, ch.h_sat_ris, bs,
+             ch.h_direct.conj() if ch.h_direct.any() else None)
 
-    def image(u):
-        # the direct links are one more one-element block, with incident
-        # channel 1 and outgoing channels conj(h_d); the image turned by
-        # conj(s), s its exposed phase, has the gains of y*(u) = h_d s + g^H v.
-        # Without direct links there is no direct block: the image alone
-        v = _exposed(u @ ch.g_ris_user, h_norms, ch.h_sat_ris, bs)
-        if not direct:
-            return v
-        return v * _exposed((u @ ch.h_direct.conj())[..., None], _ONE, _ONE, 1).conj()
-
-    def rate(c):
-        return _score(problem, np.abs(ch.h_direct + c) ** 2, ch.noise_mw)[0]
+    def rate(u):
+        gains = np.abs(ch.h_direct + _image(u, *fixed) @ gc_t) ** 2
+        return _score(problem, gains, ch.noise_mw)[0]
 
     n_t, n_p = _DIRECTION_POINTS
     t, p = np.meshgrid((np.arange(n_t) + 0.5) * (np.pi / 2.0 / n_t),
                        2.0 * np.pi * np.arange(n_p) / n_p, indexing="ij")
     dirs = np.stack([np.cos(t), np.exp(1j * p) * np.sin(t)], axis=-1)
-    scores = rate(image(dirs) @ gc_t)
+    scores = rate(dirs)
     peaks = np.full(scores.shape, True)
     for axis in range(2):
         for shift in (1, -1):
@@ -517,9 +513,9 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
         xi = (x[..., 0] + 1j * x[..., 1])[..., None]
         return (u0 + xi * perp) / np.sqrt(1.0 + np.abs(xi) ** 2)
 
-    x, f = _zoom_search(lambda x: rate(image(chart(x)) @ gc_t), len(u0),
+    x, f = _zoom_search(lambda x: rate(chart(x)), len(u0),
                         np.full(2, np.pi / 2.0 / n_t))
-    v = image(chart(x[:, None, :])[int(np.argmax(f)), 0])
+    v = _image(chart(x[:, None, :])[int(np.argmax(f)), 0], *fixed)
     phi = _surface_from_image(ch.h_sat_ris, v, spec)
     alloc, rates = _evaluate(ch, phi @ ch.h_sat_ris, problem)
     return Solution(alloc, v, rates, (rates.sum_rate,), ch.h_sat_ris, spec)

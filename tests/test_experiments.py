@@ -129,6 +129,15 @@ class TestRunSweeps:
         spec = small_spec(power_points_dbm=(0.0, 5.0, 10.0, 15.0, 20.0))
         assert run_power_sweep(spec, workers=1) == run_power_sweep(spec, workers=8)
 
+    @pytest.mark.parametrize("run", [run_power_sweep, run_element_sweep])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_rejected_before_any_trial(self, in_process_children,
+                                                                run, workers):
+        runs, children = in_process_children
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run(small_spec(), workers=workers)
+        assert runs == [] and children == []
+
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 10.0, 20.0]), min_size=2, max_size=3),
            st.lists(st.sampled_from([1, 2, 4, 8]), min_size=2, max_size=3),
@@ -608,6 +617,15 @@ class TestPinnedSweepBytes:
         assert [_sha256(p) for p in paths] == [
             "e0c0ec80bf288a9d13b37bce0190d69af55efc29ddd8138cd7269f95ffe2f8c6",
             "ecac92ab3fdf798a808185c22b9dde1db9fc2ec502e68e914b529472dbdd1e34"]
+
+    def test_power_sweep_g16_k80_with_direct_links(self, tmp_path, workers):
+        # the surface and direct links of the benchmark's power_group16 workload
+        spec = small_spec(ris_spec=RisSpec(80, "group", group_count=16), include_direct=True,
+                          trials=3)
+        paths = emit_csv(run_power_sweep(spec, workers), str(tmp_path / "power.csv"))
+        assert [_sha256(p) for p in paths] == [
+            "440a58dbdada7736f8c8b7d04282cc6bf7dab6f534a7a3a430f07945be1172b0",
+            "2311eeb551ebf58f2e6b4432fc41012bcf4c78171186fbfda7f67b4797f80489"]
 
     def test_power_sweep_full_k4_with_a_far_floor(self, tmp_path, workers):
         # the floor branches of the score and slope: all of 0 dBm is outage,

@@ -16,7 +16,7 @@ from bdris.noma import (NomaAllocation, achievable_rates, min_power_split_for_fa
                         order_users, sic_rates)
 from bdris.optimizer import (SCHEMES, InfeasibleAllocationError, ProblemSpec, Solution, bcd_solve,
                              exact_oracle, solve_phase_subproblem, solve_power_subproblem,
-                             _exposed, _score, _slope, _surface_from_image)
+                             _exposed, _image, _score, _slope, _surface_from_image)
 from bdris.surfaces import (DimensionError, RisSpec, project_feasible, random_feasible,
                             validate)
 
@@ -253,8 +253,8 @@ class TestExposedPoint:
                     assert np.array_equal(batch[i], _exposed(small[i], block_norms(h, bs), h, bs))
                 assert np.allclose(block_norms(batch[0], bs), block_norms(h, bs),
                                    rtol=1e-14, atol=0.0)
-        # one-element unit blocks, the ascent's phase turn: z = 0 keeps 1, a
-        # subnormal or huge z still gives a unit phase
+        # one-element unit blocks, the direct block's exposed phase in _image:
+        # z = 0 keeps 1, a subnormal or huge z still gives a unit phase
         one = np.ones(1)
         z = np.array([0.0, 5e-324 + 3e-324j, 1e-310j, 1e300 - 1e300j, 1 + 1j])[:, None]
         batch = _exposed(z, one, one, 1)
@@ -286,6 +286,34 @@ class TestExposedPoint:
             batch = _exposed(q, block_norms(h, bs), fallback, bs)
             for i in range(3):
                 assert np.array_equal(batch[i], _exposed(q[i], block_norms(h, bs), fallback[i], bs))
+
+
+class TestImage:
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES, st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]))
+    def test_property_feasible_support_point_of_the_reachable_channels(self, shape, seed,
+                                                                        direct):
+        # the channels h_d + g^H v of the image v of u, turned back by s, the
+        # exposed phase of u @ conj(h_d) (1 without direct links), are y*(u):
+        # Re<u, y> reaches its maximum |u^H h_d| + sum_b |h_b| |q_b| over the
+        # reachable channels h_d s' + g^H v', and no feasible pair beats it
+        spec = any_spec(*shape)
+        k, bs = spec.num_elements, spec.block_size
+        ch = unit_channel(k, seed=seed, direct_scale=direct)
+        h, hd, g = ch.h_sat_ris, ch.h_direct, ch.g_ris_user
+        norms = block_norms(h, bs)
+        rng = np.random.default_rng(seed)
+        for u in cn(rng, 8).reshape(4, 2):
+            v = _image(u, g, norms, h, bs, hd.conj() if direct else None)
+            assert np.all(np.abs(block_norms(v, bs) - norms) <= 1e-12 * norms)
+            p = u @ hd.conj()
+            top = abs(p) + norms @ block_norms(u @ g, bs)
+            y = (p / abs(p) if direct else 1.0) * (hd + g.conj() @ v)
+            assert abs(np.vdot(u, y) - top) <= 1e-12 * top
+            for _ in range(8):
+                other = random_feasible(spec, rng)[0] @ h
+                s = np.exp(2j * np.pi * rng.random())
+                assert np.vdot(u, hd * s + g.conj() @ other).real <= top * (1.0 + 1e-12)
 
 
 def feasible_image(x, h, bs):
@@ -601,26 +629,25 @@ class TestBcdSolve:
     @settings(max_examples=40, deadline=None)
     @given(SHAPES, st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]), st.booleans())
     def test_property_every_iterate_is_feasible(self, shape, seed, direct, warm):
-        # the warm image and every image the ascent steps to keep |v_b| = |h_b|
+        # the warm image and every candidate the ascent turns (_image) keep
+        # |v_b| = |h_b|
         spec = any_spec(*shape)
         ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct)
         start = random_feasible(spec, seed) if warm else None
         images = [ch.h_sat_ris if start is None else start[0] @ ch.h_sat_ris]
-        exposed = optimizer._exposed
+        image = optimizer._image
 
         def recording(*args):
-            out = exposed(*args)
-            if args[1] is not optimizer._ONE:      # the turn's unit phases are not images
-                images.append(out)
-            return out
+            images.append(image(*args))
+            return images[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimizer, "_exposed", recording)
+            mp.setattr(optimizer, "_image", recording)
             solution = bcd_solve(ch, ProblemSpec(spec, 10.0),
                                  warm_image=None if start is None else images[0])
         bs = spec.block_size
         norms = block_norms(ch.h_sat_ris, bs)
-        assert len(images) > 2
+        assert len(images) > 1
         for v in images:
             v_norms = np.linalg.norm(v.reshape(v.shape[:-1] + (-1, bs)), axis=-1)
             assert np.all(np.abs(v_norms - norms) <= 1e-12 * norms)
