@@ -12,7 +12,7 @@ from .config import (ConfigError, SimConfig, apply_overrides, echo_config,
 from .experiments import (SweepResult, SweepSpec, emit_csv, emit_plot_script,
                           run_element_sweep, run_power_sweep)
 from .noma import (NomaAllocation, RateResult, achievable_rates,
-                   min_power_split_for_far_rate, order_users)
+                   min_power_split_for_far_rate)
 from .optimizer import (InfeasibleAllocationError, ProblemSpec, SCHEMES, Solution,
                         bcd_solve, exact_oracle, solve_phase_subproblem,
                         solve_power_subproblem)
@@ -32,7 +32,7 @@ __all__ = [
     "db_to_linear", "draw_realization", "echo_config",
     "effective_channel", "emit_csv", "emit_plot_script", "exact_oracle",
     "hardware_complexity", "load_config", "min_power_split_for_far_rate",
-    "order_users", "path_gain", "project_feasible", "random_feasible",
+    "path_gain", "project_feasible", "random_feasible",
     "rician_sample", "run_element_sweep", "run_power_sweep", "slant_range",
     "solve_phase_subproblem", "solve_power_subproblem", "validate",
     "__version__",

@@ -141,8 +141,7 @@ def oracle_suite(geometry: GeometryParams, link_budget: LinkBudgetParams, power_
         arms["K=80 CD"].append(ratio(pair["CD_RIS"], ch, replace(bd, scheme="CD_RIS")))
     full8 = ProblemSpec(RisSpec(8, "full"), power_dbm)
     for ch in (draw(8, 1, 302, i) for i in range(50)):
-        image = solve_phase_subproblem(ch, full8)[0]
-        gain = abs(ch.h_direct[0] + ch.g_ris_user[0].conj() @ image)
+        gain = abs(solve_phase_subproblem(ch, full8)[1][0])
         bound = abs(ch.h_direct[0]) + (np.linalg.norm(ch.g_ris_user[0])
                                        * np.linalg.norm(ch.h_sat_ris))
         arms["single-user gain bound"].append(gain / bound)
@@ -167,17 +166,20 @@ def _sweep_points(spec: SweepSpec, kind: str) -> list:
     points key on K itself, so duplicate K entries reproduce identical rows
     and control points stay stable when the grid composition changes.
     Raises ValueError naming the K whose surface cannot exist, such as one
-    that group_count does not divide."""
+    that is not an integer or that group_count does not divide."""
     floors = (spec.min_rate_near, spec.min_rate_far)
     if kind == "power":
         return [(ProblemSpec(spec.ris_spec, float(p), *floors), i)
                 for i, p in enumerate(spec.power_points_dbm)]
     points = []
-    for k in map(int, spec.element_counts):
+    for count in spec.element_counts:
         try:
+            k = int(count)
+            if k != count:
+                raise ValueError("the element count must be an integer")
             ris = replace(spec.ris_spec, num_elements=k)
-        except ValueError as exc:
-            raise ValueError(f"element sweep point K={k}: {exc}") from None
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"element sweep point K={count}: {exc}") from None
         points.append((ProblemSpec(ris, float(spec.power_dbm), *floors), k))
     return points
 

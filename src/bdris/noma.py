@@ -49,15 +49,6 @@ class RateResult:
     sic_order: tuple      # user indices (strong, weak)
 
 
-def order_users(h_effs) -> tuple:
-    """(strong, weak) user indices by |h_eff|^2; ties go to the lower index."""
-    gains = np.abs(np.asarray(h_effs)) ** 2
-    if gains.shape != (2,):
-        raise ValueError("order_users expects exactly 2 users")
-    strong = int(np.argmax(gains))    # argmax returns the first (lower) index on ties
-    return strong, 1 - strong
-
-
 def sic_rates(p, a_n, a_f, g_s, g_w, noise):
     """(rate_near, rate_far) in bps/Hz of the decoding order strong-cancels-weak.
 

@@ -5,11 +5,12 @@ With a single satellite feed Phi enters the rates only through its image
 v = Phi h, and the feasible images are exactly the vectors with |v_b| = |h_b|
 per block (bs = 1 is the diagonal surface). The solver and the exact oracle
 both search over v for every architecture, and both take the power split
-and the rates from one route (_evaluate): an image in, its two effective
-channels h_d[u] + g_u^H v, the users ordered by gain, the closed-form split
-and its RateResult out. The solver passes the image it returns, and its
-Solution builds Phi only when its phase is read; the oracle builds Phi and
-passes Phi h, so it reports that Phi's rates, as a reference. Phi is built
+and the rates from one route (_evaluate): the two users' gains in, the users
+ordered by gain, the closed-form split and its RateResult out. The solver
+passes the gains of the channels h_d + g^H v its ascent scored last, so it
+reports that score, and its Solution builds Phi only when its phase is read;
+the oracle builds Phi and passes the gains channel.effective_channel forms
+at Phi, so it reports that Phi's rates, as a reference. Phi is built
 from h and v alone (_surface_from_image): per block, Phi_b = z (I + 2 v' a'^H -
 c c^H/(1 + s)) with z = h_b^H v_b/|h_b^H v_b|, a' = z h_b/|h_b|, v' =
 v_b/|v_b|, c = a' + v' and s = a'^H v' >= 0, the rotation of span{h_b, v_b}
@@ -75,12 +76,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, db_to_linear
+from .channel import ChannelRealization, db_to_linear, effective_channel
 from .noma import (LN2, NomaAllocation, RateResult, min_power_split_for_far_rate,
                    sic_rate_gradient, sic_rates)
-from .surfaces import DimensionError, RisSpec, block_diagonal
+from .surfaces import RisSpec, block_diagonal
 # perfbench/spans.py wraps these by name in this module; nothing here calls them
-from .channel import effective_channel  # noqa: F401
 from .noma import achievable_rates  # noqa: F401
 from .surfaces import project_feasible  # noqa: F401
 
@@ -281,7 +281,7 @@ def _slope(problem: ProblemSpec, gains: np.ndarray, noise: float, split) -> np.n
                               / ((p * (1.0 - alpha_far) * g_s + noise) * LN2), w_weak)
     if gains.shape[-1] == 1:
         return (d_s + w_weak)[..., None]
-    # ties go to the lower index, as in order_users
+    # ties go to the lower index
     strong = np.arange(2) == gains.argmax(axis=-1)[..., None]
     return np.where(strong, d_s[..., None], w_weak[..., None])
 
@@ -296,8 +296,8 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
     that user alone. A row stops at its first step that does not raise its
     score by more than 1e-12 relative, or after _PHASE_STEPS kept steps.
     Returns the best row's image, which never scores below the warm start,
-    and that row's trace: its score at its start and after each kept step.
-    No Phi is built (Solution.phase builds one on request).
+    its channels h_d + g^H v as the ascent scored them, and its trace: its
+    score at its start and after each kept step. No Phi is built.
 
     Raises ValueError unless ch has 1 or 2 users (a lone user is both the
     strong and the weak one), and when warm_image is not a length-K vector,
@@ -352,7 +352,7 @@ def solve_phase_subproblem(ch: ChannelRealization, problem: ProblemSpec,
         history.append(f)
     best = int(f.argmax())
     trace = tuple(float(scores[best]) for scores in history[:steps[best] + 1])
-    return v[best], trace
+    return v[best], e[best], trace
 
 
 def _require_two_users(ch: ChannelRealization) -> None:
@@ -360,19 +360,14 @@ def _require_two_users(ch: ChannelRealization) -> None:
         raise ValueError("the sum-rate problem is defined for exactly 2 users")
 
 
-def _evaluate(ch: ChannelRealization, image: np.ndarray, problem: ProblemSpec) -> tuple:
-    """The optimal full-power split at the image v = Phi h and its
-    RateResult, from the two effective channels h_d[u] + g_u^H v, each formed
-    as channel.effective_channel forms it. Raises ValueError unless there are
-    exactly 2 users, and InfeasibleAllocationError when no split meets both
-    minimum rates, or FloatingPointError when the sum rate is not finite (a
-    numeric failure, not an outage)."""
-    _require_two_users(ch)
-    gains = [abs(complex(ch.h_direct[u] + ch.g_ris_user[u].conj() @ image)) ** 2
-             for u in range(2)]
-    strong = int(gains[1] > gains[0])     # ties go to the lower index, as in order_users
-    alpha_far, feasible, r_n, r_f = _split(problem, gains[strong], gains[1 - strong],
-                                           ch.noise_mw)
+def _evaluate(gains, problem: ProblemSpec, noise: float) -> tuple:
+    """The optimal full-power split at the two users' gains |h_eff|^2 and its
+    RateResult; the user with the larger gain is the strong one, and a tie
+    goes to the lower index. Raises InfeasibleAllocationError when no split
+    meets both minimum rates, and FloatingPointError when the sum rate is not
+    finite (a numeric failure, not an outage)."""
+    strong = int(gains[1] > gains[0])
+    alpha_far, feasible, r_n, r_f = _split(problem, gains[strong], gains[1 - strong], noise)
     if not np.isfinite(r_n + r_f):
         raise FloatingPointError(f"non-finite rates (near {r_n}, far {r_f})")
     if not feasible:
@@ -393,23 +388,22 @@ def solve_power_subproblem(ch: ChannelRealization, phi: np.ndarray,
     holds, so the smallest ordered split is optimal (gains tie -> the sum
     rate is split-invariant and the same boundary is returned).
 
-    Raises DimensionError when phi is not K x K, ValueError unless ch has
-    exactly 2 users, and InfeasibleAllocationError when no split meets both
+    Raises ValueError unless ch has exactly 2 users, DimensionError when phi
+    is not K x K, and InfeasibleAllocationError when no split meets both
     minimum rates.
     """
-    k = ch.num_elements
-    if np.shape(phi) != (k, k):
-        raise DimensionError(f"phase matrix shape {np.shape(phi)} does not match K={k}")
-    return _evaluate(ch, phi @ ch.h_sat_ris, problem)[0]
+    _require_two_users(ch)
+    gains = [abs(effective_channel(ch, phi, u)) ** 2 for u in range(2)]
+    return _evaluate(gains, problem, ch.noise_mw)[0]
 
 
 def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
               warm_image: np.ndarray | None = None) -> Solution:
     """Solve one realization: solve_phase_subproblem from warm_image (the
     identity's image h when None), whose score holds the optimal power split
-    at every step, then _evaluate at the image it returns for the split and
-    the rates. The Solution carries that image; its phase, a Phi with
-    Phi h = image, is built only when read.
+    at every step, then _evaluate at the gains of the channels it scored
+    last, so the sum rate is the trace's last score. The Solution carries
+    the image; its phase, a Phi with Phi h = image, is built only when read.
 
     The Solution's trace is the winning start's ascent trace, and converged
     is False only when that start ran into the step cap. Raises ValueError
@@ -418,8 +412,8 @@ def bcd_solve(ch: ChannelRealization, problem: ProblemSpec,
     is not finite.
     """
     _require_two_users(ch)
-    image, trace = solve_phase_subproblem(ch, problem, warm_image=warm_image)
-    alloc, rates = _evaluate(ch, image, problem)
+    image, channels, trace = solve_phase_subproblem(ch, problem, warm_image=warm_image)
+    alloc, rates = _evaluate(np.abs(channels) ** 2, problem, ch.noise_mw)
     return Solution(alloc, image, rates, trace, ch.h_sat_ris, problem.effective_spec)
 
 
@@ -474,11 +468,10 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
     feasible sets too thin for the grid. The best few local maxima of a
     coarse (t, p) grid are refined by nested zoom grids (_zoom_search) in
     a chart centred on each, u = (u_0 + xi u_0^perp) / sqrt(1 + |xi|^2),
-    regular where (t, p) is not. As a reference, the oracle builds the Phi
-    that its Solution's phase builds from the best direction's image and
-    reports _evaluate at Phi h, that Phi's rates. Raises ValueError unless
-    ch has exactly 2 users, and InfeasibleAllocationError when that Phi
-    misses a minimum rate.
+    regular where (t, p) is not. As a reference, it reports the rates of
+    the Phi its Solution's phase builds, at the gains channel.effective_channel
+    forms. Raises ValueError unless ch has exactly 2 users, and
+    InfeasibleAllocationError when that Phi misses a minimum rate.
     """
     _require_two_users(ch)
     spec = problem.effective_spec
@@ -517,5 +510,6 @@ def exact_oracle(ch: ChannelRealization, problem: ProblemSpec) -> Solution:
                         np.full(2, np.pi / 2.0 / n_t))
     v = _image(chart(x[:, None, :])[int(np.argmax(f)), 0], *fixed)
     phi = _surface_from_image(ch.h_sat_ris, v, spec)
-    alloc, rates = _evaluate(ch, phi @ ch.h_sat_ris, problem)
+    gains = [abs(effective_channel(ch, phi, u)) ** 2 for u in range(2)]
+    alloc, rates = _evaluate(gains, problem, ch.noise_mw)
     return Solution(alloc, v, rates, (rates.sum_rate,), ch.h_sat_ris, spec)

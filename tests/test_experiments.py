@@ -115,7 +115,7 @@ class TestRunSweeps:
         for row in result.detail_rows:
             by_key.setdefault((row[0], row[1], row[3]), {})[row[2]] = row[6]
         for pair in by_key.values():
-            assert pair["BD_RIS"] >= pair["CD_RIS"] * (1.0 - 1e-9)
+            assert pair["BD_RIS"] >= pair["CD_RIS"]
 
     def test_deterministic_across_workers(self):
         spec = small_spec()
@@ -215,10 +215,19 @@ class TestRunSweeps:
         spec = small_spec(ris_spec=RisSpec(8, "group", group_count=4), element_counts=(8, 10))
         with pytest.raises(ValueError, match="K=10: group_count 4 must divide"):
             run_element_sweep(spec)
+        # a count with a fraction, or no count at all, names no surface
+        for bad in (4.7, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"element sweep point K={bad}: .*integer"):
+                run_element_sweep(replace(spec, ris_spec=RisSpec(4), element_counts=(4, bad)))
         assert calls == []
         # a power sweep never reads the element grid
         monkeypatch.undo()
         assert len(run_power_sweep(replace(spec, trials=1)).detail_rows) == 4
+        # numpy integers and integral floats are counts all the same
+        rows = run_element_sweep(replace(spec, element_counts=(np.int64(4), 8.0),
+                                         trials=1)).detail_rows
+        assert [row[1] for row in rows] == [4, 4, 8, 8]
+        assert all(type(row[1]) is int for row in rows)
 
     def test_element_sweep_varies_k(self):
         result = run_element_sweep(small_spec(trials=2))
