@@ -105,15 +105,20 @@ def _linear_ok(value_db: float) -> bool:
 # of two unit-mean averages of K draws |x|^2; 1e6 covers both at 1e3, whose
 # probability is below e^-1000 even for Rayleigh fading.
 _FADING_HEADROOM = 1e6
+# The smallest path gain a link may have: _FADING_HEADROOM times the smallest
+# normal float, 2^-1022. Below the normal range the per-element channels
+# keep too few digits for the solve.
+_GAIN_FLOOR = _FADING_HEADROOM * 2.0 ** -1022
 
 
 def _check_link_gains(cfg: SimConfig) -> None:
     """Each configured link's path gain, and the cascade through the surface
-    to each user, must be finite and > 0 at the configured geometry: dB
-    values that pass one by one can still overflow or underflow together.
-    So must the peak SNR, p K^2 cascade / noise (p direct / noise for a
-    direct link), with _FADING_HEADROOM to spare: the rates take p gamma /
-    noise, and an overflow there reads as an infinite sum rate."""
+    to each user, must be finite and at least _GAIN_FLOOR at the configured
+    geometry: dB values that pass one by one can still overflow or underflow
+    together. The peak SNR, p K^2 cascade / noise (p direct / noise for a
+    direct link), must stay in the float range with _FADING_HEADROOM to
+    spare: the rates take p gamma / noise, and an overflow there reads as an
+    infinite sum rate."""
     geom, lb = geometry_from(cfg), link_budget_from(cfg)
     p, noise = db_to_linear(cfg.power_dbm), db_to_linear(cfg.noise_dbm)
 
@@ -135,10 +140,10 @@ def _check_link_gains(cfg: SimConfig) -> None:
             gains.append((f"direct {user}-user", gain(d_sr + d_ru)))
             peaks.append((f"direct {user}-user", gains[-1][1]))
     for link, value in gains:
-        if not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and value >= _GAIN_FLOOR):
             raise ConfigError(f"keys 'tx_gain_dbi', 'rx_gain_dbi', 'freq_ghz', "
                               f"'path_loss_exponent' and the distances: the {link} path "
-                              f"gain is {value:g}, it must be finite and > 0")
+                              f"gain is {value:g}, it must be finite and >= {_GAIN_FLOOR:g}")
     for link, peak in peaks:
         snr = p * peak / noise
         if not math.isfinite(max(peak, p * peak, snr) * _FADING_HEADROOM):

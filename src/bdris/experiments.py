@@ -25,7 +25,6 @@ when its phase is read.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -45,6 +44,14 @@ DEFAULT_POWER_POINTS_DBM = (0.0, 5.0, 10.0, 15.0, 20.0)
 DEFAULT_ELEMENT_COUNTS = (10, 20, 40, 80)
 
 
+def _check_count(name: str, value) -> None:
+    """ValueError naming `value` unless it is an integer (Python or numpy) >= 1."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     geometry: GeometryParams
@@ -61,8 +68,7 @@ class SweepSpec:
     schemes = SCHEMES             # not a field: every trial solves both (solve_pair)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_count("trials", self.trials)
         if self.ris_spec.mode != "reflective":
             raise ValueError("sweeps support reflective surfaces only")
         if not self.power_points_dbm or not self.element_counts:
@@ -81,21 +87,15 @@ def solve_pair(ch: ChannelRealization, problem: ProblemSpec) -> dict:
     then BD_RIS from the CD image cd.image = Phi_cd h (from the identity
     when CD has no Solution), so BD never falls below CD. Neither solve
     builds a Phi. problem.scheme picks nothing: it only saves the copy of
-    problem for the scheme it names. Returns {scheme: Solution, the
-    InfeasibleAllocationError it raised, or its numeric failure: the
-    ArithmeticError it raised, or a FloatingPointError when it returned a
-    non-finite rate}. Any other exception propagates."""
+    problem for the scheme it names. Returns {scheme: Solution, or the
+    InfeasibleAllocationError or ArithmeticError the solve raised}. Any
+    other exception propagates."""
     def attempt(scheme, warm):
         solve = problem if problem.scheme == scheme else replace(problem, scheme=scheme)
         try:
-            solution = bcd_solve(ch, solve, warm_image=warm)
+            return bcd_solve(ch, solve, warm_image=warm)
         except (InfeasibleAllocationError, ArithmeticError) as exc:
             return exc
-        r = solution.rates
-        if not all(map(math.isfinite, (r.rate_near, r.rate_far, r.sum_rate))):
-            return FloatingPointError(f"{scheme} solve returned non-finite rates "
-                                      f"(near {r.rate_near}, far {r.rate_far})")
-        return solution
 
     cd = attempt("CD_RIS", None)
     bd = attempt("BD_RIS", cd.image if isinstance(cd, Solution) else None)
@@ -231,36 +231,28 @@ def _run_slice(spec: SweepSpec, units, cpu, conn) -> None:
     conn.close()
 
 
-def _aggregate_point(point_rows) -> list:
-    """One aggregate row per scheme from a single sweep point's rows, so a
-    grid listing the same point twice yields two identical aggregate rows."""
-    groups = {}
-    for row in point_rows:
-        groups.setdefault(row[:3], []).append(row)
-    agg = []
-    for (power_dbm, k, scheme), rows in groups.items():
-        ok = [r[6] for r in rows if r[7] == 0]
-        n_outage = len(rows) - len(ok)
-        mean = float(np.mean(ok)) if ok else 0.0
-        std = float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0
-        agg.append((power_dbm, k, scheme, mean, std, len(ok), n_outage))
-    return agg
-
-
 def _sweep_result(spec: SweepSpec, kind: str, rows) -> SweepResult:
-    """A sweep's result from its rows in grid order: the detail rows
-    sorted, and the aggregate of each point's trials × schemes rows."""
-    size = spec.trials * len(spec.schemes)
-    per_point = [rows[i:i + size] for i in range(0, len(rows), size)]
+    """A sweep's result from its rows in grid order: the detail rows sorted,
+    and one aggregate row per point and scheme. _run_trials writes a point's
+    trials × n schemes rows trial by trial in spec.schemes order, so scheme
+    j's rows are point[j::n], and a point listed twice aggregates twice."""
+    n = len(spec.schemes)
+    size = spec.trials * n
+    aggregate = []
+    for start in range(0, len(rows), size):
+        for j in range(n):
+            own = rows[start + j:start + size:n]
+            ok = [r[6] for r in own if r[7] == 0]
+            mean = float(np.mean(ok)) if ok else 0.0
+            std = float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0
+            aggregate.append((*own[0][:3], mean, std, len(ok), len(own) - len(ok)))
     detail = sorted(rows, key=lambda r: (r[0], r[1], r[2], r[3]))
-    aggregate = sorted((row for point in per_point for row in _aggregate_point(point)),
-                       key=lambda r: (r[0], r[1], r[2]))
+    aggregate.sort(key=lambda r: (r[0], r[1], r[2]))
     return SweepResult(kind, tuple(detail), tuple(aggregate))
 
 
 def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("workers", workers)
     units = [(problem, key, trial) for problem, key in _sweep_points(spec, kind)
              for trial in range(spec.trials)]
     processes = min(workers, len(units))   # a process beyond one per trial has no job
@@ -317,13 +309,13 @@ def _run_sweep(spec: SweepSpec, kind: str, workers: int) -> SweepResult:
 
 def run_power_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Sum rate versus transmit power at a fixed element count, on `workers`
-    processes (ValueError below 1)."""
+    processes (ValueError unless an integer >= 1)."""
     return _run_sweep(spec, "power", workers)
 
 
 def run_element_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Sum rate versus element count at a fixed transmit power, on
-    `workers` processes (ValueError below 1)."""
+    `workers` processes (ValueError unless an integer >= 1)."""
     return _run_sweep(spec, "elements", workers)
 
 

@@ -251,6 +251,13 @@ class TestSolveOne:
         assert code == 2 and out == ""
         assert "'tx_gain_dbi'" in err and "path gain" in err
 
+    def test_link_gain_past_the_float_range_from_the_distances_exit_2(self, capsys):
+        # (1e-9 km) ** -52 overflows in path_gain, which counts as an inf gain
+        code, out, err = run(capsys, "--set", "ris_user_near_km=1e-9",
+                             "--set", "path_loss_exponent=52", "solve-one")
+        assert code == 2 and out == ""
+        assert "'path_loss_exponent'" in err and "the surface-to-near-user path gain is inf" in err
+
     def test_peak_snr_past_the_float_range_exit_2(self, capsys):
         # every path gain and cascade is finite, but p K^2 cascade / noise is not
         code, out, err = run(capsys, "--set", "tx_gain_dbi=740", "--set", "rx_gain_dbi=740",
@@ -314,6 +321,14 @@ class TestSweepCommands:
         code, _, _ = run(capsys, "--set", "mode=multisector", "sweep-power")
         assert code == 2
 
+    def test_out_dir_that_is_a_file_exit_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        code, out, err = run(capsys, "--set", "num_elements=4", "--set", "trials=1",
+                             "--set", f"out_dir={out_dir}", "sweep-power")
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 17] File exists: '{out_dir}'\n"
+
     @pytest.mark.parametrize("workers", ["0", "-3", "two"])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
         code, _, err = run(capsys, "--set", f"out_dir={tmp_path}", "sweep-elements",
@@ -330,6 +345,15 @@ class TestOracleCheck:
         assert code == 0
         assert out.count("PASS") == 5 and "FAIL" not in out
         assert len(out.splitlines()) == 5
+
+    def test_subnormal_link_gain_exit_2(self, capsys):
+        # a satellite-to-surface gain of 1.7e-316 is subnormal: per-element
+        # |h| ~ 1e-158 leaves the solver too few digits to meet the band
+        code, out, err = run(capsys, "--set", "path_loss_exponent=55",
+                             "--set", "ris_user_near_km=0.001",
+                             "--set", "ris_user_far_km=0.0012", "oracle-check")
+        assert code == 2 and out == ""
+        assert "'path_loss_exponent'" in err and "satellite-to-surface path gain" in err
 
 
 class TestModuleEntry:

@@ -1,9 +1,11 @@
 """Flat-config parsing, defaults, overrides, validation, and echo round-trip."""
 
 import dataclasses
+import sys
 
 import pytest
 
+from bdris import config
 from bdris.config import (ConfigError, SimConfig, apply_overrides, echo_config,
                           geometry_from, link_budget_from, load_config, ris_spec_from,
                           validate_config)
@@ -107,17 +109,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             apply_overrides(SimConfig(), [f"{key}={value}"])
 
-    @pytest.mark.parametrize("gain_dbi", ["2000", "1500", "-2000", "-900"])
-    def test_link_gains_past_the_float_range_are_rejected(self, tmp_path, gain_dbi):
-        # each dB value is representable, but the path gain G_t G_r (lambda/4 pi)^2
-        # d^-eta, or the cascade through the surface, overflows or underflows
+    @pytest.mark.parametrize("assignments", [
+        *([f"tx_gain_dbi={gain}", f"rx_gain_dbi={gain}"] for gain in (2000, 1500, -2000, -900)),
+        ["path_loss_exponent=55", "ris_user_near_km=0.001", "ris_user_far_km=0.0012"],
+    ], ids=["2000", "1500", "-2000", "-900", "subnormal"])
+    def test_link_gains_past_the_float_range_are_rejected(self, tmp_path, assignments):
+        # each value is representable, but the path gain G_t G_r (lambda/4 pi)^2
+        # d^-eta, or the cascade through the surface, overflows, underflows or
+        # is subnormal (the satellite-to-surface gain at exponent 55 is 1.7e-316)
         path = tmp_path / "bad.cfg"
-        path.write_text(f"tx_gain_dbi = {gain_dbi}\nrx_gain_dbi = {gain_dbi}\n")
-        message = r"'tx_gain_dbi', 'rx_gain_dbi'.* path gain is (inf|0), it must be finite"
+        path.write_text("\n".join(a.replace("=", " = ") for a in assignments) + "\n")
+        message = (r"'tx_gain_dbi', 'rx_gain_dbi'.* path gain is (inf|0|1\.67392e-316), "
+                   r"it must be finite and >= 2\.22507e-302")
         with pytest.raises(ConfigError, match=message):
             load_config(str(path))
         with pytest.raises(ConfigError, match=message):
-            apply_overrides(SimConfig(), [f"tx_gain_dbi={gain_dbi}", f"rx_gain_dbi={gain_dbi}"])
+            apply_overrides(SimConfig(), assignments)
+
+    def test_the_gain_floor_is_headroom_times_the_smallest_normal_float(self):
+        # at exponent 32.5 the cascaded far-user gain is a normal float, but
+        # within _FADING_HEADROOM of the smallest one; at 32 every gain clears it
+        assert sys.float_info.min < 1.29183e-303 < config._FADING_HEADROOM * sys.float_info.min
+        apply_overrides(SimConfig(), ["path_loss_exponent=32"])
+        with pytest.raises(ConfigError, match=r"cascaded far-user path gain is 1\.29183e-303"):
+            apply_overrides(SimConfig(), ["path_loss_exponent=32.5"])
 
     @pytest.mark.parametrize("assignments,link", [
         (["tx_gain_dbi=740", "rx_gain_dbi=740", "noise_dbm=-400", "num_elements=8"],
@@ -147,6 +162,8 @@ class TestValidation:
 
     def test_validate_config_passes_defaults(self):
         assert validate_config(SimConfig()) == SimConfig()
+        # the budget at which rates are O(1) bps/Hz
+        apply_overrides(SimConfig(), ["tx_gain_dbi=55", "rx_gain_dbi=55", "rician_k=0"])
 
 
 class TestOverrides:

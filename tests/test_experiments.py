@@ -5,6 +5,7 @@ import hashlib
 import io
 import multiprocessing
 import os
+import re
 import signal
 import time
 from dataclasses import fields, replace
@@ -19,7 +20,6 @@ from bdris.channel import GeometryParams, LinkBudgetParams, draw_realization
 from bdris.experiments import (AGGREGATE_HEADER, DETAIL_HEADER, SweepResult,
                                SweepSpec, emit_csv, emit_plot_script,
                                run_element_sweep, run_power_sweep, solve_pair)
-from bdris.noma import RateResult
 from bdris.optimizer import SCHEMES, InfeasibleAllocationError, ProblemSpec
 from bdris.surfaces import RisSpec, validate
 
@@ -137,6 +137,27 @@ class TestRunSweeps:
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             run(small_spec(), workers=workers)
         assert runs == [] and children == []
+
+    @pytest.mark.parametrize("run", [run_power_sweep, run_element_sweep])
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+    def test_a_non_integral_worker_count_is_rejected_before_any_trial(self, in_process_children,
+                                                                      run, workers):
+        runs, children = in_process_children
+        with pytest.raises(ValueError,
+                           match=re.escape(f"workers must be an integer, got {workers!r}")):
+            run(small_spec(), workers=workers)
+        assert runs == [] and children == []
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, "3"])
+    def test_a_non_integral_trial_count_is_rejected_at_construction(self, trials):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"trials must be an integer, got {trials!r}")):
+            small_spec(trials=trials)
+
+    def test_numpy_integer_counts_are_counts(self):
+        spec = small_spec(trials=2)
+        assert (run_power_sweep(replace(spec, trials=np.int64(2)), workers=np.int32(2))
+                == run_power_sweep(spec))
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 10.0, 20.0]), min_size=2, max_size=3),
@@ -257,6 +278,43 @@ class TestRunSweeps:
             assert n_ok == len(rates) and n_out == 0
             assert mean == pytest.approx(np.mean(rates), rel=1e-12)
             assert std == pytest.approx(np.std(rates, ddof=1), rel=1e-12)
+
+
+class TestSweepResult:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["power", "elements"]),
+           st.lists(st.sampled_from([0.0, 10.0, 20.0]), min_size=1, max_size=3),
+           st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3),
+           st.integers(1, 4), st.data())
+    def test_property_aggregate_is_a_by_key_recomputation_per_point(self, kind, powers, counts,
+                                                                    trials, data):
+        # synthetic rows in _run_trials' order, with each grid's first point
+        # listed again at its end and outage codes 0, 1 and 2 mixed in a point
+        spec = small_spec(trials=trials)
+        points = ([(p, 4) for p in powers + powers[:1]] if kind == "power"
+                  else [(10.0, k) for k in counts + counts[:1]])
+        rate = st.floats(0.0, 1e3, allow_subnormal=False)
+        rows = []
+        for power_dbm, k in points:
+            for trial in range(trials):
+                for scheme in spec.schemes:
+                    code = data.draw(st.sampled_from([0, 1, 2]))
+                    r_n, r_f = (data.draw(rate), data.draw(rate)) if code == 0 else (0.0, 0.0)
+                    rows.append((power_dbm, k, scheme, trial, r_n, r_f, r_n + r_f, code))
+        expected = []
+        size = trials * len(spec.schemes)
+        for start in range(0, len(rows), size):
+            groups = {}
+            for row in rows[start:start + size]:
+                groups.setdefault(row[:3], []).append(row)
+            for key, own in groups.items():
+                ok = [r[6] for r in own if r[7] == 0]
+                expected.append((*key, float(np.mean(ok)) if ok else 0.0,
+                                 float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0,
+                                 len(ok), len(own) - len(ok)))
+        result = experiments._sweep_result(spec, kind, rows)
+        assert result == SweepResult(kind, tuple(sorted(rows, key=lambda r: r[:4])),
+                                     tuple(sorted(expected, key=lambda r: r[:3])))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="children fork on Linux only")
@@ -454,9 +512,11 @@ class TestSolvePair:
 
 
 class TestNumericFailures:
-    """A solve that raises an ArithmeticError, or returns a non-finite rate,
-    is a numeric failure: a row of its own with rates 0 and outage 2, counted
-    in outage_count and out of the mean. Other exceptions propagate."""
+    """A solve that raises an ArithmeticError is a numeric failure: a row of
+    its own with rates 0 and outage 2, counted in outage_count and out of
+    the mean. bcd_solve raises FloatingPointError where _evaluate meets a
+    non-finite rate, so no Solution carries one. Other exceptions
+    propagate."""
 
     @staticmethod
     def draw(spec, stream_key, trial):
@@ -466,19 +526,29 @@ class TestNumericFailures:
 
     @staticmethod
     def inject(monkeypatch, scheme, target, fail):
-        """Route the `scheme` solve of the draw whose h is target to fail;
-        the draw, not a call count, picks the trial in any worker process."""
+        """Route the `scheme` solve of the draw whose h is target to fail(ch,
+        problem), which raises; the draw, not a call count, picks the trial in
+        any worker process."""
         calls, solve = [], experiments.bcd_solve
 
         def faulty(ch, problem, warm_image=None):
             hit = problem.scheme == scheme and np.array_equal(ch.h_sat_ris, target)
             calls.append((problem.scheme, hit, warm_image))
             if hit:
-                return fail(solve(ch, problem, warm_image=warm_image))
+                fail(ch, problem)
             return solve(ch, problem, warm_image=warm_image)
 
         monkeypatch.setattr(experiments, "bcd_solve", faulty)
         return calls
+
+    @staticmethod
+    def non_finite(bad):
+        """A solve that ends as bcd_solve does where the near user's rate is
+        `bad`: _evaluate raises FloatingPointError."""
+        def fail(ch, problem):
+            optimizer._evaluate(np.array([bad, 1e-15]), problem, ch.noise_mw)
+            raise AssertionError("_evaluate accepted a non-finite gain")
+        return fail
 
     @staticmethod
     def others(rows, power_dbm, trial):
@@ -489,7 +559,7 @@ class TestNumericFailures:
         clean = run_power_sweep(spec)
         ch = self.draw(spec, 1, 1)                 # 10 dBm, trial 1
 
-        def fail(solution):
+        def fail(ch, problem):
             raise FloatingPointError("injected")
 
         calls = self.inject(monkeypatch, "CD_RIS", ch.h_sat_ris, fail)
@@ -513,7 +583,7 @@ class TestNumericFailures:
         spec = small_spec()
         clean = run_power_sweep(spec)
         self.inject(monkeypatch, "BD_RIS", self.draw(spec, 0, 2).h_sat_ris,   # 0 dBm, trial 2
-                    lambda sol: replace(sol, rates=RateResult(bad, bad, bad, (0, 1))))
+                    self.non_finite(bad))
         result = run_power_sweep(spec)
         moved = [b for a, b in zip(clean.detail_rows, result.detail_rows) if a != b]
         assert moved == [(0.0, 4, "BD_RIS", 2, 0.0, 0.0, 0.0, 2)]
@@ -548,10 +618,11 @@ class TestNumericFailures:
 
     def test_solve_pair_returns_the_failure(self, monkeypatch):
         ch = self.draw(small_spec(), 0, 0)
-        self.inject(monkeypatch, "CD_RIS", ch.h_sat_ris,
-                    lambda sol: replace(sol, rates=replace(sol.rates, sum_rate=np.inf)))
+        calls = self.inject(monkeypatch, "CD_RIS", ch.h_sat_ris, self.non_finite(np.inf))
         pair = solve_pair(ch, ProblemSpec(RisSpec(4, "full"), 10.0))
         assert isinstance(pair["CD_RIS"], FloatingPointError)
+        assert "non-finite rates (near inf" in str(pair["CD_RIS"])
+        assert calls[1] == ("BD_RIS", False, None)
         assert pair["BD_RIS"].rates.sum_rate > 0.0
 
     def test_other_exceptions_propagate(self, monkeypatch):

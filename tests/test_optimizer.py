@@ -692,6 +692,24 @@ class TestBcdSolve:
         if all(isinstance(solution, Solution) for solution in pair.values()):
             assert pair["BD_RIS"].rates.sum_rate >= pair["CD_RIS"].rates.sum_rate
 
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES, st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.7]),
+           st.sampled_from(["h_direct", "h_sat_ris", "g_ris_user"]),
+           st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.nan)]), st.data())
+    def test_property_a_nan_channel_raises_and_returns_no_solution(self, shape, seed, direct,
+                                                                   field, nan, data):
+        # solve_pair relies on this: a solve whose rate is not finite raises
+        # FloatingPointError, so every Solution's rates are finite (NaN, not
+        # inf: inf - inf warns, and the test config makes that an error)
+        spec = any_spec(*shape)
+        ch = unit_channel(spec.num_elements, seed=seed, direct_scale=direct)
+        poisoned = getattr(ch, field).copy()
+        poisoned[data.draw(st.tuples(*(st.integers(0, n - 1) for n in poisoned.shape)))] = nan
+        ch = replace(ch, **{field: poisoned})
+        for scheme in SCHEMES:
+            with pytest.raises(ArithmeticError):
+                bcd_solve(ch, ProblemSpec(spec, 10.0, scheme=scheme))
+
     @pytest.mark.parametrize("floor", [1e-13, 1.6e-13])
     def test_binding_far_floor_reaches_the_oracle_on_the_default_draw(self, floor):
         # both floors bind at the optimum, and 1.6e-13 bps/Hz is out of reach
